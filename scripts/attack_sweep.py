@@ -19,16 +19,9 @@ import sys
 from pathlib import Path
 from statistics import fmean
 
-from netcrit.cli import RunManifest, execute_manifest
+from netcrit.cli import RunManifest, execute_manifest, parse_seeds
 from netcrit.simulator import Scenario
-from netcrit.topology import builtin_case, load_topology, natural_key
-
-
-def parse_seeds(text: str) -> tuple[int, ...]:
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(p) for p in text.split(",") if p.strip())
+from netcrit.topology import builtin_case, load_topology
 
 
 def main() -> int:
@@ -93,4 +86,7 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except (ValueError, OSError) as exc:
+        sys.exit(f"error: {exc}")

@@ -19,16 +19,14 @@ import sys
 from pathlib import Path
 from statistics import fmean
 
-from netcrit.cli import RunManifest, execute_manifest
-from netcrit.metrics import (
-    Direction,
-    NOT_COMPUTABLE,
-    betweenness_centrality,
-    eccentricity_centrality,
-    edge_betweenness,
-    eigenvector_centrality,
-    rank_with_ties,
+from netcrit.cli import (
+    RunManifest,
+    core_edge_keys,
+    execute_manifest,
+    metric_rankings,
+    parse_seeds,
 )
+from netcrit.metrics import edge_betweenness, rank_with_ties
 from netcrit.reports import cluster_summary_text
 from netcrit.simulator import Scenario
 from netcrit.topology import builtin_case, natural_key
@@ -42,13 +40,6 @@ CASE_SCENARIOS = {
 }
 
 
-def parse_seeds(text: str) -> tuple[int, ...]:
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(p) for p in text.split(",") if p.strip())
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--case", type=int, choices=(1, 2, 3), required=True)
@@ -60,18 +51,9 @@ def main() -> int:
     t = builtin_case(args.case)
     routers = sorted(t.router_ids, key=natural_key)
 
-    rankings = {
-        "betweenness": rank_with_ties(betweenness_centrality(t), subset=t.router_ids),
-        "eigenvector": rank_with_ties(eigenvector_centrality(t), subset=t.router_ids),
-    }
-    ecc = eccentricity_centrality(t)
-    rankings["eccentricity"] = (
-        NOT_COMPUTABLE if ecc is NOT_COMPUTABLE
-        else rank_with_ties(ecc, Direction.LOWER_IS_CRITICAL, subset=t.router_ids)
-    )
-    gens = set(t.generator_ids)
-    core = [e for e in t.edge_keys() if e[0] not in gens and e[1] not in gens]
-    rankings["edge_betweenness"] = rank_with_ties(edge_betweenness(t), subset=core)
+    rankings = metric_rankings(t, directed=False, tie_epsilon=1e-9)
+    rankings["edge_betweenness"] = rank_with_ties(edge_betweenness(t),
+                                                  subset=core_edge_keys(t))
     print(cluster_summary_text(f"{t.name}: centrality rankings", rankings))
 
     scenarios = (Scenario.stable(),) + tuple(
@@ -115,4 +97,7 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except (ValueError, OSError) as exc:
+        sys.exit(f"error: {exc}")

@@ -24,21 +24,17 @@ from .metrics import (
     rank_with_ties,
 )
 from .simulator import (
-    Packet,
-    RouterState,
     Scenario,
     SimConfig,
     SimResult,
     SimulationLimitError,
-    apply_scenario,
-    next_hop,
     run,
     sample_exponential,
 )
 from .topology import (
     BUILTIN_CASE_IDS,
+    ForwardingTable,
     NodeRole,
-    RoutingTable,
     Topology,
     TopologyError,
     build_routing_table,

@@ -104,7 +104,8 @@ def _load(args) -> Topology:
     return builtin_case(args.case)
 
 
-def _parse_seeds(text: str) -> list[int]:
+def parse_seeds(text: str) -> tuple[int, ...]:
+    """Parse "--seeds": a comma-separated list of distinct seeds or a range a..b."""
     text = text.strip()
     if ".." in text:
         lo, _, hi = text.partition("..")
@@ -114,9 +115,9 @@ def _parse_seeds(text: str) -> list[int]:
             raise ValueError(f"bad seed range '{text}' (expected a..b)") from None
         if b < a:
             raise ValueError(f"seed range '{text}' ends before it starts")
-        return list(range(a, b + 1))
+        return tuple(range(a, b + 1))
     try:
-        seeds = [int(p) for p in text.split(",") if p.strip()]
+        seeds = tuple(int(p) for p in text.split(",") if p.strip())
     except ValueError:
         raise ValueError(f"bad seeds '{text}' (expected a comma-separated list)") from None
     if not seeds:
@@ -126,14 +127,14 @@ def _parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def _core_edge_keys(t: Topology) -> list[tuple[str, str]]:
+def core_edge_keys(t: Topology) -> list[tuple[str, str]]:
     """Edges between non-generator nodes (the infrastructure links)."""
     roles = t.roles
     return [e for e in t.edge_keys()
             if roles[e[0]] is not NodeRole.GENERATOR and roles[e[1]] is not NodeRole.GENERATOR]
 
 
-def _metric_rankings(t: Topology, directed: bool, tie_epsilon: float, subset=None):
+def metric_rankings(t: Topology, directed: bool, tie_epsilon: float, subset=None):
     """All four metric rankings, restricted to routers (or a given subset)."""
     node_subset = list(subset) if subset is not None else list(t.router_ids)
     ecc = eccentricity_centrality(t, directed=directed)
@@ -161,9 +162,9 @@ def cmd_metrics(args) -> int:
     reports.write_node_metrics(out / "node_metrics.csv", t, bet, ecc, eig)
     reports.write_edge_metrics(out / "edge_metrics.csv", edges)
 
-    rankings = _metric_rankings(t, args.directed, args.tie_epsilon)
+    rankings = metric_rankings(t, args.directed, args.tie_epsilon)
     rankings["edge_betweenness"] = rank_with_ties(
-        edges, Direction.HIGHER_IS_CRITICAL, args.tie_epsilon, _core_edge_keys(t)
+        edges, Direction.HIGHER_IS_CRITICAL, args.tie_epsilon, core_edge_keys(t)
     )
     reports.write_rankings(out / "rankings.csv", rankings)
 
@@ -194,6 +195,9 @@ class RunManifest:
             raise ValueError("manifest needs at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
+        bad = [s for s in self.seeds if not 0 <= s < 2**64]
+        if bad:
+            raise ValueError(f"seeds must be unsigned 64-bit integers, got {bad[0]}")
         routers = set(self.topology.router_ids)
         for scenario in self.scenarios:
             missing = [r for r in scenario.targets if r not in routers]
@@ -244,7 +248,7 @@ def _manifest_from_args(args, scenarios: tuple[Scenario, ...]) -> RunManifest:
     return RunManifest(
         topology=_load(args),
         scenarios=scenarios,
-        seeds=tuple(_parse_seeds(args.seeds)),
+        seeds=parse_seeds(args.seeds),
         duration=args.duration,
         out_dir=Path(args.out),
         mean_packet_size=args.mean_packet_size,
@@ -277,10 +281,10 @@ def cmd_compare(args) -> int:
 
     delay = rank_by_delay(results, t, k=args.k, tie_epsilon=args.tie_epsilon)
     universe = [r for r in t.router_ids if r not in delay.excluded]
-    metric_rankings = _metric_rankings(t, args.directed, args.tie_epsilon, subset=universe)
+    rankings = metric_rankings(t, args.directed, args.tie_epsilon, subset=universe)
 
     comparisons = {}
-    for metric, rc in metric_rankings.items():
+    for metric, rc in rankings.items():
         if rc is NOT_COMPUTABLE:
             print(f"note: {metric} not computable on this graph; skipped", file=sys.stderr)
             continue
@@ -290,7 +294,7 @@ def cmd_compare(args) -> int:
     # infrastructure link each router terminates, so it can be ranked
     # against per-router delays.
     edges = edge_betweenness(t)
-    core = _core_edge_keys(t)
+    core = core_edge_keys(t)
     router_share = {
         router: max((edges[e] for e in core if router in e), default=0.0)
         for router in universe

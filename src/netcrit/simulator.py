@@ -24,14 +24,15 @@ given its seed.
 
 from __future__ import annotations
 
-import heapq
+import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Callable
 
 from .rng import stream
-from .topology import RoutingTable, Topology, build_routing_table, natural_key
+from .topology import Topology, build_routing_table, natural_key
 
 
 class SimulationLimitError(RuntimeError):
@@ -147,34 +148,6 @@ class Scenario:
         return f"{self.kind}:{','.join(self.targets)}"
 
 
-@dataclass(slots=True)
-class Packet:
-    id: int
-    size: float
-    origin: str
-    created_at: float
-    arrival_link: str | None = None
-    hops: int = 0
-
-
-@dataclass
-class RouterState:
-    """Mutable per-router simulation state.
-
-    The FIFO queue holds (packet, arrival_time) pairs; the packet in service
-    stays at the head until its completion event fires.
-    """
-
-    queue: deque = field(default_factory=deque)
-    in_service: bool = False
-    busy_until: float = 0.0
-    forwarded_count: int = 0
-    cumulative_sojourn: float = 0.0
-    dropped_count: int = 0
-    attacked: bool = False
-    attack_forwarding_probability: float = 1.0
-
-
 @dataclass
 class RouterSummary:
     final_delay: float
@@ -218,39 +191,6 @@ class SimResult:
         return self.interarrival_total / self.interarrival_draws if self.interarrival_draws else 0.0
 
 
-def apply_scenario(scenario: Scenario, states: dict[str, RouterState]) -> dict[str, RouterState]:
-    """Set the attacked flag (and recorded drop probability) on exactly the targets."""
-    unknown = [t for t in scenario.targets if t not in states]
-    if unknown:
-        raise ValueError(f"scenario targets unknown routers: {', '.join(unknown)}")
-    for st in states.values():
-        st.attacked = False
-        st.attack_forwarding_probability = 1.0
-    for target in scenario.targets:
-        st = states[target]
-        st.attacked = True
-        st.attack_forwarding_probability = scenario.attack_forwarding_probability
-    return states
-
-
-def next_hop(table: RoutingTable, router: str, arrival_link: str | None, rng) -> str:
-    """Uniform choice among eligible neighbors, excluding the arrival link.
-
-    Packets injected by a local generator have no arrival link and choose
-    among all eligible neighbors. When the exclusion empties the candidate
-    set (a leaf router), the packet goes back on its arrival link.
-    """
-    entries = table.entries.get(router)
-    if entries is None:
-        raise ValueError(f"'{router}' is not a router in the routing table")
-    candidates = [n for n, _ in entries if n != arrival_link]
-    if not candidates:
-        return arrival_link
-    if len(candidates) == 1:
-        return candidates[0]
-    return candidates[int(rng.random() * len(candidates))]
-
-
 # Event kinds, in no particular priority: ties on the calendar break by
 # insertion sequence alone.
 _GEN, _ARRIVE, _COMPLETE, _MONITOR = 0, 1, 2, 3
@@ -269,67 +209,61 @@ def run(
     for tracing and tests and does not affect the run.
     """
     table = build_routing_table(topology)
-    sink = topology.sink_id
-    router_ids = list(topology.router_ids)
-    generator_ids = list(topology.generator_ids)
-    adjacency = topology.adjacency
-    sink_adjacent = topology.sink_adjacent_routers()
+    routers, sink, hops = table.routers, table.sink, table.hops
+    index = {r: i for i, r in enumerate(routers)}
+    unknown = [t for t in scenario.targets if t not in index]
+    if unknown:
+        raise ValueError(f"scenario targets unknown routers: {', '.join(unknown)}")
+    # Admit probability of each attacked router; None where not attacked.
+    admit = [None] * len(routers)
+    for target in scenario.targets:
+        admit[index[target]] = scenario.attack_forwarding_probability
 
-    states = {r: RouterState() for r in router_ids}
-    apply_scenario(scenario, states)
+    generators = topology.generator_ids
+    gen_targets = [tuple(index[r] for r in topology.adjacency[g]) for g in generators]
+    gen_streams = [stream(config.seed, "generator", g) for g in generators]
+    router_streams = [stream(config.seed, "router", r) for r in routers]
+    monitor_streams = ([stream(config.seed, "monitor", r) for r in routers]
+                       if config.exponential_sampling else [])
 
-    gen_streams = {g: stream(config.seed, "generator", g) for g in generator_ids}
-    router_streams = {r: stream(config.seed, "router", r) for r in router_ids}
-    monitor_streams = (
-        {r: stream(config.seed, "monitor", r) for r in router_ids}
-        if config.exponential_sampling
-        else {}
-    )
+    # Per-router state. A queue holds (packet, arrival time) pairs, with the
+    # packet in service at its head, so a router is busy exactly when its
+    # queue is non-empty. A packet is an (id, arrival link, hops) tuple; the
+    # arrival link is -1 for a packet its generator just injected.
+    queues = [deque() for _ in routers]
+    forwarded = [0] * len(routers)
+    sojourn = [0.0] * len(routers)
+    dropped = [0] * len(routers)
+    samples = [[] for _ in routers]
 
-    samples: dict[str, list[tuple[float, float]]] = {r: [] for r in router_ids}
     heap: list[tuple] = []
-    seq = 0
+    seq = itertools.count()
     generated = delivered = dropped_attack = dropped_ttl = 0
-    size_total = 0.0
-    inter_total = 0.0
-    inter_draws = 0
-    next_packet_id = 0
+    size_total = inter_total = 0.0
     mean_service = 1.0 / config.router_service_rate
-    duration = config.duration
-    ttl = config.ttl
+    duration, ttl, cap = config.duration, config.ttl, config.interarrival_cap
 
-    def push(time: float, kind: int, node, pkt=None):
-        nonlocal seq
-        heapq.heappush(heap, (time, seq, kind, node, pkt))
-        seq += 1
+    def interarrival(rng) -> float:
+        dt = sample_exponential(rng, config.mean_interarrival)
+        return dt if cap is None else min(dt, cap)
 
-    def draw_interarrival(g: str) -> float:
-        nonlocal inter_total, inter_draws
-        dt = sample_exponential(gen_streams[g], config.mean_interarrival)
-        if config.interarrival_cap is not None:
-            dt = min(dt, config.interarrival_cap)
+    def delay(r: int) -> float:
+        return sojourn[r] / forwarded[r] if forwarded[r] else 0.0
+
+    for g, rng in enumerate(gen_streams):
+        dt = interarrival(rng)
         inter_total += dt
-        inter_draws += 1
-        return dt
-
-    def begin_service(r: str, now: float):
-        st = states[r]
-        st.in_service = True
-        done = now + sample_exponential(router_streams[r], mean_service)
-        st.busy_until = done
-        push(done, _COMPLETE, r)
-
-    for g in generator_ids:
-        push(draw_interarrival(g), _GEN, g)
+        heappush(heap, (dt, next(seq), _GEN, g, None))
     if config.exponential_sampling:
-        for r in router_ids:
-            push(sample_exponential(monitor_streams[r], config.monitor_interval), _MONITOR, r)
+        for r, rng in enumerate(monitor_streams):
+            heappush(heap, (sample_exponential(rng, config.monitor_interval), next(seq),
+                            _MONITOR, r, None))
     else:
-        push(config.monitor_interval, _MONITOR, None)
+        heappush(heap, (config.monitor_interval, next(seq), _MONITOR, None, None))
 
     events = 0
     while heap and heap[0][0] <= duration:
-        now, _, kind, node, pkt = heapq.heappop(heap)
+        now, _, kind, node, pkt = heappop(heap)
         events += 1
         if events > config.event_cap:
             raise SimulationLimitError(
@@ -338,97 +272,90 @@ def run(
             )
 
         if kind == _ARRIVE:
-            st = states[node]
-            if st.attacked and router_streams[node].random() >= st.attack_forwarding_probability:
-                st.dropped_count += 1
+            p = admit[node]
+            if p is not None and router_streams[node].random() >= p:
+                dropped[node] += 1
                 dropped_attack += 1
                 if on_event is not None:
-                    on_event("drop_attack", now, node, pkt.id)
+                    on_event("drop_attack", now, routers[node], pkt[0])
                 continue
             if on_event is not None:
-                on_event("arrive", now, node, pkt.id)
-            st.queue.append((pkt, now))
-            if not st.in_service:
-                begin_service(node, now)
+                on_event("arrive", now, routers[node], pkt[0])
+            queue = queues[node]
+            queue.append((pkt, now))
+            if len(queue) == 1:
+                done = now + sample_exponential(router_streams[node], mean_service)
+                heappush(heap, (done, next(seq), _COMPLETE, node, None))
 
         elif kind == _COMPLETE:
-            st = states[node]
-            pkt, arrived_at = st.queue.popleft()
-            st.in_service = False
-            if ttl and pkt.hops + 1 > ttl:
+            queue = queues[node]
+            (pid, came_from, hop_count), arrived_at = queue.popleft()
+            if ttl and hop_count >= ttl:
                 dropped_ttl += 1
                 if on_event is not None:
-                    on_event("drop_ttl", now, node, pkt.id)
+                    on_event("drop_ttl", now, routers[node], pid)
             else:
-                st.cumulative_sojourn += now - arrived_at
-                st.forwarded_count += 1
-                pkt.hops += 1
-                dest = next_hop(table, node, pkt.arrival_link, router_streams[node])
+                sojourn[node] += now - arrived_at
+                forwarded[node] += 1
+                candidates = hops[node][came_from]
+                if len(candidates) == 1:
+                    dest = candidates[0]
+                else:
+                    dest = candidates[int(router_streams[node].random() * len(candidates))]
                 if on_event is not None:
-                    on_event("forward", now, node, pkt.id)
+                    on_event("forward", now, routers[node], pid)
                 if dest == sink:
                     delivered += 1
                 else:
-                    pkt.arrival_link = node
-                    push(now, _ARRIVE, dest, pkt)
-            if st.queue:
-                begin_service(node, now)
+                    heappush(heap, (now, next(seq), _ARRIVE, dest, (pid, node, hop_count + 1)))
+            if queue:
+                done = now + sample_exponential(router_streams[node], mean_service)
+                heappush(heap, (done, next(seq), _COMPLETE, node, None))
 
         elif kind == _GEN:
+            rng = gen_streams[node]
             size = 0.0
             while size <= 0.0:  # sizes must be strictly positive
-                size = sample_exponential(gen_streams[node], config.mean_packet_size)
-            new_pkt = Packet(id=next_packet_id, size=size, origin=node, created_at=now)
-            next_packet_id += 1
-            generated += 1
+                size = sample_exponential(rng, config.mean_packet_size)
             size_total += size
-            targets = adjacency[node]
+            targets = gen_targets[node]
             if len(targets) == 1:
                 router = targets[0]
             else:
-                router = targets[int(gen_streams[node].random() * len(targets))]
-            push(now, _ARRIVE, router, new_pkt)
-            push(now + draw_interarrival(node), _GEN, node)
+                router = targets[int(rng.random() * len(targets))]
+            heappush(heap, (now, next(seq), _ARRIVE, router, (generated, -1, 0)))
+            generated += 1
+            dt = interarrival(rng)
+            inter_total += dt
+            heappush(heap, (now + dt, next(seq), _GEN, node, None))
 
-        else:  # _MONITOR
-            if node is None:
-                for r in router_ids:
-                    st = states[r]
-                    d = st.cumulative_sojourn / st.forwarded_count if st.forwarded_count else 0.0
-                    samples[r].append((now, d))
-                push(now + config.monitor_interval, _MONITOR, None)
-            else:
-                st = states[node]
-                d = st.cumulative_sojourn / st.forwarded_count if st.forwarded_count else 0.0
-                samples[node].append((now, d))
-                push(now + sample_exponential(monitor_streams[node], config.monitor_interval),
-                     _MONITOR, node)
+        elif node is None:  # _MONITOR, fixed tick for every router
+            for r, series in enumerate(samples):
+                series.append((now, delay(r)))
+            heappush(heap, (now + config.monitor_interval, next(seq), _MONITOR, None, None))
+
+        else:  # _MONITOR, exponential gap for one router
+            samples[node].append((now, delay(node)))
+            gap = sample_exponential(monitor_streams[node], config.monitor_interval)
+            heappush(heap, (now + gap, next(seq), _MONITOR, node, None))
 
     # Packets still queued (including any in service) plus any unprocessed
     # arrivals left on the calendar; counted independently so the
     # conservation identity is a real check, not a tautology.
-    in_flight = sum(len(st.queue) for st in states.values())
+    in_flight = sum(len(q) for q in queues)
     in_flight += sum(1 for entry in heap if entry[2] == _ARRIVE)
 
-    routers = {}
-    for r in router_ids:
-        st = states[r]
-        final = st.cumulative_sojourn / st.forwarded_count if st.forwarded_count else 0.0
-        routers[r] = RouterSummary(
-            final_delay=final,
-            forwarded=st.forwarded_count,
-            dropped_attack=st.dropped_count,
-            attacked=st.attacked,
-            sink_adjacent=r in sink_adjacent,
-        )
-
+    sink_adjacent = topology.sink_adjacent_routers()
     return SimResult(
         topology_name=topology.name,
         scenario=scenario,
         seed=config.seed,
         duration=duration,
-        samples=samples,
-        routers=routers,
+        samples=dict(zip(routers, samples)),
+        routers={r: RouterSummary(final_delay=delay(i), forwarded=forwarded[i],
+                                  dropped_attack=dropped[i], attacked=admit[i] is not None,
+                                  sink_adjacent=r in sink_adjacent)
+                 for i, r in enumerate(routers)},
         generated=generated,
         delivered_to_sink=delivered,
         dropped_by_attack=dropped_attack,
@@ -437,5 +364,6 @@ def run(
         event_count=events,
         generated_size_total=size_total,
         interarrival_total=inter_total,
-        interarrival_draws=inter_draws,
+        # One draw per generator at start, then one per generated packet.
+        interarrival_draws=len(generators) + generated,
     )

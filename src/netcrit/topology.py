@@ -4,12 +4,13 @@ A topology is an undirected graph whose nodes are traffic generators,
 routers, or the single sink (the balancing authority that all measurement
 traffic drains into). This module defines the line-oriented file format,
 validation of the structural invariants, the three built-in case-study
-networks, and construction of the equal-probability routing tables used by
-the random-walk forwarding simulator.
+networks, and the compilation of a topology into the integer-indexed
+``ForwardingTable`` that the random-walk forwarding simulator runs on.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -161,6 +162,7 @@ def validate_topology(t: Topology) -> None:
 
 
 _ROLES_BY_NAME = {r.value: r for r in NodeRole}
+_NODE_ID = re.compile(r"[A-Za-z0-9_]+")
 
 
 def parse_topology(text: str, name: str = "topology") -> Topology:
@@ -171,6 +173,8 @@ def parse_topology(text: str, name: str = "topology") -> Topology:
         node <id> <generator|router|sink>
         edge <id> <id>
 
+    Node ids are ASCII letters, digits and underscores, so they are safe as
+    directory names and never clash with the edge, scenario or CSV syntax.
     Raises TopologyError with the offending line number on syntax errors and
     with the violated invariant on validation failures.
     """
@@ -188,6 +192,10 @@ def parse_topology(text: str, name: str = "topology") -> Topology:
             if len(parts) != 3:
                 raise TopologyError(f"line {lineno}: expected 'node <id> <role>'")
             nid, role_name = parts[1], parts[2]
+            if not _NODE_ID.fullmatch(nid):
+                raise TopologyError(
+                    f"line {lineno}: node id '{nid}' must use only [A-Za-z0-9_]"
+                )
             role = _ROLES_BY_NAME.get(role_name)
             if role is None:
                 raise TopologyError(f"line {lineno}: unknown role '{role_name}'")
@@ -246,28 +254,36 @@ def builtin_case(case_id: int) -> Topology:
 
 
 @dataclass(frozen=True)
-class RoutingTable:
-    """Per-router forwarding candidates with equal base probabilities.
+class ForwardingTable:
+    """The no-backtrack random walk over a topology, compiled to integers.
 
-    ``entries[router]`` lists (neighbor, probability) pairs covering every
-    adjacent router plus the sink; generators are never forwarding targets.
-    Immutable by convention; built once per topology and shared.
+    Routers are numbered 0..n-1 in declaration order (``routers`` holds their
+    ids) and the sink is ``sink`` = n. ``hops[r][a]`` lists, in adjacency
+    order, the next-hop candidates of a packet that arrived at router r from
+    node a, where a = -1 marks a packet injected by a generator. Candidates
+    are every adjacent router plus the sink, except a; when that leaves
+    nothing (a leaf router) the packet goes back to a. Generators are never
+    candidates. Built once per topology; do not mutate.
     """
 
-    entries: dict[str, tuple[tuple[str, float], ...]]
+    routers: tuple[str, ...]
+    sink: int
+    hops: tuple[dict[int, tuple[int, ...]], ...]
 
 
-def build_routing_table(t: Topology) -> RoutingTable:
-    """Equal-probability routing over each router's eligible neighbors."""
-    roles = t.roles
-    entries: dict[str, tuple[tuple[str, float], ...]] = {}
-    for router in t.router_ids:
-        eligible = [n for n in t.adjacency[router] if roles[n] is not NodeRole.GENERATOR]
+def build_routing_table(t: Topology) -> ForwardingTable:
+    """Compile the topology's forwarding choices into a ForwardingTable."""
+    routers = t.router_ids
+    index = {r: i for i, r in enumerate(routers)}
+    index[t.sink_id] = len(routers)
+    hops = []
+    for router in routers:
+        eligible = [index[n] for n in t.adjacency[router] if n in index]
         if not eligible:
             raise TopologyError(
                 f"router '{router}' has no eligible forwarding neighbor "
                 "(adjacent routers or sink required)"
             )
-        p = 1.0 / len(eligible)
-        entries[router] = tuple((n, p) for n in eligible)
-    return RoutingTable(entries=entries)
+        hops.append({a: tuple(n for n in eligible if n != a) or (a,)
+                     for a in (-1, *eligible)})
+    return ForwardingTable(routers=routers, sink=len(routers), hops=tuple(hops))

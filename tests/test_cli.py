@@ -1,4 +1,6 @@
 import filecmp
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,8 +11,19 @@ from netcrit.simulator import Scenario
 from netcrit.topology import builtin_case
 
 
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
 def run_cli(*argv) -> int:
     return main(list(argv))
+
+
+def run_script(monkeypatch, name, *argv):
+    """Run an experiment script as __main__; return its exit code."""
+    monkeypatch.setattr(sys, "argv", [name, *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    return exc.value.code
 
 
 class TestCases:
@@ -166,6 +179,41 @@ class TestRunManifest:
             RunManifest(**{**good, "seeds": (1, 1)})
         with pytest.raises(ValueError, match="unknown routers"):
             RunManifest(**{**good, "scenarios": (Scenario.dos("99"),)})
+        for bad in ((1, -1), (2**64,)):
+            with pytest.raises(ValueError, match="unsigned 64-bit"):
+                RunManifest(**{**good, "seeds": bad})
+
+    def test_bad_seed_fails_before_first_run(self, tmp_path, capsys):
+        rc = run_cli("simulate", "--case", "3", "--seeds", "1,-1", "--duration", "10",
+                     "--out", str(tmp_path))
+        assert rc == 1
+        assert "unsigned 64-bit integers, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+
+class TestScripts:
+    @pytest.mark.parametrize("script", ["attack_sweep.py", "run_case_study.py"])
+    @pytest.mark.parametrize("seeds", ["5..1", "1,1", "1,-1"])
+    def test_bad_seeds_exit_with_error(self, monkeypatch, tmp_path, script, seeds):
+        code = run_script(monkeypatch, script, "--case", "3", "--seeds", seeds,
+                          "--duration", "5", "--out", str(tmp_path))
+        assert isinstance(code, str) and code.startswith("error: ")
+        assert not (tmp_path / "runs").exists()
+
+    def test_attack_sweep_ranks_every_router(self, monkeypatch, tmp_path):
+        assert run_script(monkeypatch, "attack_sweep.py", "--case", "3", "--seeds", "1",
+                          "--duration", "20", "--out", str(tmp_path)) == 0
+        lines = (tmp_path / "attack_sweep.csv").read_text().splitlines()
+        assert len(lines) == 1 + len(builtin_case(3).router_ids)
+
+    def test_run_case_study_prints_rankings_and_table(self, monkeypatch, tmp_path, capsys):
+        assert run_script(monkeypatch, "run_case_study.py", "--case", "3", "--seeds", "1",
+                          "--duration", "20", "--out", str(tmp_path)) == 0
+        out = capsys.readouterr().out
+        for metric in ("betweenness", "eccentricity", "eigenvector", "edge_betweenness"):
+            assert metric in out
+        header = (tmp_path / "delay_by_scenario.csv").read_text().splitlines()[0]
+        assert header == "router_id,stable,dos:2,dos:6,dos:10,dos:14"
 
 
 class TestArgumentErrors:

@@ -9,13 +9,9 @@ from hypothesis import strategies as st
 from conftest import topologies
 from netcrit.rng import stream, substream_seed
 from netcrit.simulator import (
-    Packet,
-    RouterState,
     Scenario,
     SimConfig,
     SimulationLimitError,
-    apply_scenario,
-    next_hop,
     run,
     sample_exponential,
 )
@@ -72,35 +68,56 @@ class TestStreams:
             substream_seed(2**64, "x")
 
 
+def next_hops(t: Topology, router: str, arrival_link: str | None) -> tuple[str, ...]:
+    """Next-hop candidates by node id, read from the compiled forwarding table."""
+    table = build_routing_table(t)
+    names = table.routers + (t.sink_id,)
+    r = names.index(router)
+    a = -1 if arrival_link is None else names.index(arrival_link)
+    return tuple(names[n] for n in table.hops[r][a])
+
+
 class TestNextHop:
     def test_excludes_arrival_link(self):
         t = parse_topology(
             "node S sink\nnode r router\nnode a router\nnode b router\nnode c router\n"
             "node g generator\nedge S a\nedge r a\nedge r b\nedge r c\nedge g r\n"
             "edge a b\n", name="t")
-        table = build_routing_table(t)
-        seen = {next_hop(table, "r", "b", FakeStream([u])) for u in (0.01, 0.49, 0.51, 0.99)}
-        assert seen == {"a", "c"}
+        assert next_hops(t, "r", "b") == ("a", "c")
 
     def test_leaf_fallback_returns_arrival_link(self, mm1_topology):
-        table = build_routing_table(mm1_topology)
-        assert next_hop(table, "R", "S", FakeStream([])) == "S"
+        assert next_hops(mm1_topology, "R", "S") == ("S",)
+        assert next_hops(builtin_case(2), "7", "3") == ("3",)
 
     def test_injected_packet_uses_all_candidates(self):
-        table = build_routing_table(builtin_case(2))
-        seen = {next_hop(table, "1", None, FakeStream([u])) for u in (0.1, 0.5, 0.9)}
-        assert seen == {"0", "3", "4"}
+        assert next_hops(builtin_case(2), "1", None) == ("0", "3", "4")
 
     def test_unknown_router_rejected(self, mm1_topology):
-        table = build_routing_table(mm1_topology)
-        with pytest.raises(ValueError):
-            next_hop(table, "nope", None, FakeStream([0.5]))
+        with pytest.raises(ValueError, match="unknown routers: nope"):
+            run(mm1_topology, SimConfig(duration=1.0), Scenario.dos("nope"))
 
     def test_case2_router1_from_3_is_even_coin(self):
-        table = build_routing_table(builtin_case(2))
-        s = stream(123, "next-hop-test")
-        n = 10_000
-        hits = sum(1 for _ in range(n) if next_hop(table, "1", "3", s) == "0")
+        # Router 1 forwards a packet that came from 3 either to the sink 0 or to
+        # router 4. A forward to 4 is always followed by that packet's next
+        # event at 4 (the arrival lands on the calendar at the same time); a
+        # forward to the sink ends the packet's trace.
+        trace = defaultdict(list)
+
+        def on_event(kind, _t, router, pid):
+            trace[pid].append((kind, router))
+
+        run(builtin_case(2), SimConfig(duration=3000.0, seed=123), Scenario.stable(),
+            on_event=on_event)
+        decision = [("forward", "3"), ("arrive", "1"), ("forward", "1")]
+        outcomes = []
+        for events in trace.values():
+            for i in range(2, len(events)):
+                if events[i - 2:i + 1] == decision:
+                    outcomes.append(events[i + 1][1] if i + 1 < len(events) else "0")
+        n = len(outcomes)
+        assert n > 2000
+        assert set(outcomes) == {"0", "4"}
+        hits = outcomes.count("0")
         # three-sigma binomial band around 0.5
         assert abs(hits / n - 0.5) <= 3 * math.sqrt(0.25 / n)
 
@@ -127,19 +144,18 @@ class TestScenario:
         with pytest.raises(ValueError):
             Scenario.dos("5", attack_forwarding_probability=1.5)
 
-    def test_apply_scenario_flags_exact_targets(self):
-        states = {r: RouterState() for r in ("1", "2", "3")}
-        apply_scenario(Scenario.stable(), states)
-        assert not any(st.attacked for st in states.values())
-        apply_scenario(Scenario.ddos(["1", "3"]), states)
-        assert {r for r, st in states.items() if st.attacked} == {"1", "3"}
-        assert states["1"].attack_forwarding_probability == 0.01
-        apply_scenario(Scenario.dos("2"), states)
-        assert {r for r, st in states.items() if st.attacked} == {"2"}
+    def test_run_flags_exact_targets(self):
+        t = builtin_case(2)
+        cfg = SimConfig(duration=5.0)
+        for scenario, expected in ((Scenario.stable(), set()),
+                                   (Scenario.ddos(["1", "3"]), {"1", "3"}),
+                                   (Scenario.dos("2"), {"2"})):
+            res = run(t, cfg, scenario)
+            assert {r for r, s in res.routers.items() if s.attacked} == expected
 
-    def test_apply_scenario_unknown_target(self):
-        with pytest.raises(ValueError, match="unknown routers"):
-            apply_scenario(Scenario.dos("9"), {"1": RouterState()})
+    def test_run_rejects_unknown_target(self, mm1_topology):
+        with pytest.raises(ValueError, match="unknown routers: G"):
+            run(mm1_topology, SimConfig(duration=1.0), Scenario.dos("G"))
 
 
 class TestConfig:
@@ -283,7 +299,3 @@ class TestRun:
         drop_fraction = summary.dropped_attack / (summary.dropped_attack + summary.forwarded)
         assert drop_fraction >= 0.9
         assert summary.final_delay < stable.routers["3"].final_delay
-
-    def test_packet_fields(self):
-        p = Packet(id=0, size=120.0, origin="g", created_at=1.5)
-        assert p.arrival_link is None and p.hops == 0

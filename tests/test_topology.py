@@ -77,6 +77,12 @@ class TestParse:
         with pytest.raises(TopologyError):
             parse_topology(MINIMAL + "\nedge G1 S")
 
+    @pytest.mark.parametrize("bad", ["../x", "a;b", "a-b", "a:b", "a,b"])
+    def test_node_id_charset_enforced_with_line(self, bad):
+        text = f"node S sink\nnode {bad} router\nnode G generator\nedge S {bad}\n"
+        with pytest.raises(TopologyError, match=r"line 2: node id .* \[A-Za-z0-9_\]"):
+            parse_topology(text)
+
     def test_missing_roles_rejected(self):
         with pytest.raises(TopologyError, match="no sink"):
             parse_topology("node R1 router\nnode G1 generator\nedge R1 G1")
@@ -140,20 +146,24 @@ class TestBuiltins:
             builtin_case(4)
 
 
+def names(t, table, indices) -> tuple[str, ...]:
+    ids = table.routers + (t.sink_id,)
+    return tuple(ids[i] for i in indices)
+
+
 class TestRoutingTable:
     def test_case3_router6_splits_between_ring_neighbors(self):
-        table = build_routing_table(builtin_case(3))
-        assert dict(table.entries["6"]) == {"2": 0.5, "10": 0.5}
+        t = builtin_case(3)
+        table = build_routing_table(t)
+        six, two = table.routers.index("6"), table.routers.index("2")
+        assert names(t, table, table.hops[six][-1]) == ("2", "10")
+        assert names(t, table, table.hops[six][two]) == ("10",)
 
     def test_router_adjacent_only_to_sink(self, mm1_topology):
         table = build_routing_table(mm1_topology)
-        assert table.entries["R"] == (("S", 1.0),)
-
-    def test_three_links_give_one_third(self):
-        table = build_routing_table(builtin_case(2))
-        probs = [p for _, p in table.entries["1"]]  # neighbors 0, 3, 4
-        assert len(probs) == 3
-        assert all(p == pytest.approx(1 / 3) for p in probs)
+        assert table.routers == ("R",)
+        assert table.sink == 1
+        assert table.hops == ({-1: (1,), 1: (1,)},)
 
     def test_router_with_only_generator_neighbors_fails(self):
         text = (
@@ -165,19 +175,31 @@ class TestRoutingTable:
             build_routing_table(t)
 
     @given(topologies())
-    def test_probabilities_sum_to_one(self, t):
+    def test_table_invariants(self, t):
         table = build_routing_table(t)
-        for router, entries in table.entries.items():
-            assert abs(sum(p for _, p in entries) - 1.0) <= 1e-12
-            values = {p for _, p in entries}
-            assert len(values) == 1  # equal base probabilities
+        assert table.routers == t.router_ids
+        assert table.sink == len(table.routers)
+        assert len(table.hops) == len(table.routers)
+        for r, row in enumerate(table.hops):
+            everyone = row[-1]
+            assert names(t, table, everyone) == tuple(
+                n for n in t.adjacency[table.routers[r]] if n not in t.generator_ids)
+            assert set(row) == {-1, *everyone}
+            for a, candidates in row.items():
+                if a == -1:
+                    continue
+                if everyone == (a,):
+                    assert candidates == (a,)  # leaf: back on the arrival link
+                else:
+                    # every other candidate, in adjacency order
+                    assert candidates == tuple(n for n in everyone if n != a)
 
     @given(topologies())
     def test_generators_never_forwarding_targets(self, t):
         table = build_routing_table(t)
-        gens = set(t.generator_ids)
-        for entries in table.entries.values():
-            assert gens.isdisjoint(n for n, _ in entries)
+        for row in table.hops:
+            for candidates in row.values():
+                assert all(0 <= n <= table.sink for n in candidates)
 
 
 class TestRoundTrip:

@@ -5,13 +5,20 @@ a hop budget, exponential monitor sampling, truncated inter-arrivals, DDoS,
 an attack whose admit probability is 1.0 (an admission draw still happens
 on every arrival), and a generator linked to two routers. Any change to the
 order or the conditions of the random draws changes these digests.
+
+It also pins the files and stdout of the metrics command on every built-in
+case, and of the case-study and DoS-sweep workflows at a short run.
 """
 
 import hashlib
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 
 from netcrit import reports
+from netcrit.cli import main
 from netcrit.simulator import Scenario, SimConfig, run
 from netcrit.topology import builtin_case, parse_topology
 
@@ -86,3 +93,89 @@ def digests(name: str, tmp_path) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_outputs_match_golden_digests(name, tmp_path):
     assert digests(name, tmp_path) == GOLDEN[name]
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def tree_digest(root: Path) -> str:
+    """One digest over every file under root: relative path plus content digest."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        h.update(path.relative_to(root).as_posix().encode() + b"\0"
+                 + sha256(path.read_bytes()).encode() + b"\n")
+    return h.hexdigest()
+
+
+METRICS_GOLDEN = {
+    1: {"node_metrics.csv": "f42fd87ab51d78128358eb7df2157c4c945e7627f46e871d12aa73b03392fdd6",
+        "edge_metrics.csv": "89f049725f26b887807046c05198420501026baaa3d30c8b3fd7aaf30390ef15",
+        "rankings.csv": "b51f13dc2c088ebc197deef2adf6d9a5b0922aa0e0ae317942c1cec90a1d59a4",
+        "stdout": "f939d245100c0e6c7aa990c3f6fbe4d57372a7007b65585789e54b30341acc55"},
+    2: {"node_metrics.csv": "515aa3f3f2fc238ea6d14eedce4344eec019dcf1719703adf53a9c911e7465da",
+        "edge_metrics.csv": "bdde2e0e76c1ca6fe13af67f8d900a6cd26ac33b2a3e2221689d6d18c767cc3c",
+        "rankings.csv": "c59c6feb7069f0c08ab5fdfed38657b675f66a71cdfe553ea38c6836cf3758e9",
+        "stdout": "ef9f196d05dbde5fe311133c3905912f2a2d13a51697349a3f78adf2bc50a53e"},
+    3: {"node_metrics.csv": "23c1e3dd6a6dc8cb9aebd8ce94605f6904691c2eacef63fdf6dc716968736586",
+        "edge_metrics.csv": "f2f20334a603e6c127067fb581ea25cd20770f2e71d9ad831ce846af890120b4",
+        "rankings.csv": "00fb8441addab87fb1a64d2095a84ddcd8fc9147bd88bdc5238139576cb8211a",
+        "stdout": "8940848c458f6cac304f18a0a049baf0d601f7bbe258572eb9e7ee5f0f57f218"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(METRICS_GOLDEN))
+def test_metrics_outputs_match_golden_digests(case, tmp_path, capsys):
+    assert main(["metrics", "--case", str(case), "--out", str(tmp_path)]) == 0
+    found = {name: sha256((tmp_path / "metrics" / name).read_bytes())
+             for name in ("node_metrics.csv", "edge_metrics.csv", "rankings.csv")}
+    found["stdout"] = sha256(capsys.readouterr().out.encode())
+    assert found == METRICS_GOLDEN[case]
+
+
+# (workflow, case) -> (its own CSV, digest of that CSV, tree digest of runs/, stdout digest),
+# at seeds 1..2 and duration 20.
+WORKFLOW_GOLDEN = {
+    ("case-study", 1): ("delay_by_scenario.csv",
+                        "9335536c4285059335242d947810f6f52ff33e53e9466d2276d9471381cdf6ad",
+                        "7270f3d832dfef0b650909b8cd19ee05339e6c17bd66d5e12126ec41dfb8abcf",
+                        "987f3ebcb80e5653563baf802ec744c77f03beccf45e74f09398ceffa34efcd2"),
+    ("case-study", 2): ("delay_by_scenario.csv",
+                        "5b9d300fdd4463de5328cf4d102d83d4a62501529baa23cf509fdd2d77a9dedb",
+                        "b747c4662d7626766a9258edb55c53c662a2479ced5fb956eb4c3bb7459be832",
+                        "6261111944529d94f6ccf080b4078457804924e5122e2f4ae2c9258ef31d1e9e"),
+    ("case-study", 3): ("delay_by_scenario.csv",
+                        "ffc8e7b57b623d7d625a135a08fc2575122c31bc4dd58deb3df89dff62f068d0",
+                        "ec26bd96940ce9b899303a78017e18d0b80f5248b4632611e9b1286ecfc20e8e",
+                        "d5fc5a59bb1797953def336d05cd60e7e3cb55fc96ef1d3eebf0cd067d3f1611"),
+    ("sweep", 2): ("attack_sweep.csv",
+                   "60a129bd467fcf984239c5033854e747f944d60b4767b46588c5937ce4dbf839",
+                   "5f958f1866dc4b68f96d0ac528440d9442b87930519e0da5a2ee88157d9e2591",
+                   "79ead691046eb9a4203ae443a1371fb88f466d59d8a1829a607ebedf10e569ec"),
+    ("sweep", 3): ("attack_sweep.csv",
+                   "442cc679927b4c0a999c758514129c1a8b79780432f639a1051b446707006cfa",
+                   "b50aa31869cfa267302580aa7ef06c9ffd47658c90358689479e1fa87a41a030",
+                   "c82b40709221a4dcf0a5b2641de68bfd7cc0ca54d360744eb70b734d1856461a"),
+}
+
+SCRIPTS = {"case-study": "run_case_study.py", "sweep": "attack_sweep.py"}
+
+
+def run_workflow(monkeypatch, workflow: str, *argv: str) -> int:
+    script = Path(__file__).resolve().parent.parent / "scripts" / SCRIPTS[workflow]
+    monkeypatch.setattr(sys, "argv", [script.name, *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    return exc.value.code
+
+
+@pytest.mark.parametrize("workflow,case", sorted(WORKFLOW_GOLDEN),
+                         ids=[f"{w}-{c}" for w, c in sorted(WORKFLOW_GOLDEN)])
+def test_workflow_outputs_match_golden_digests(workflow, case, tmp_path, capsys,
+                                               monkeypatch):
+    assert run_workflow(monkeypatch, workflow, "--case", str(case), "--seeds", "1..2",
+                        "--duration", "20", "--out", str(tmp_path)) == 0
+    table, table_digest, runs_digest, stdout_digest = WORKFLOW_GOLDEN[workflow, case]
+    assert sha256((tmp_path / table).read_bytes()) == table_digest
+    assert tree_digest(tmp_path / "runs") == runs_digest
+    assert sha256(capsys.readouterr().out.encode()) == stdout_digest

@@ -12,7 +12,6 @@ from .analysis import (
     rank_by_delay,
 )
 from .metrics import (
-    NOT_COMPUTABLE,
     Direction,
     PowerIterationError,
     RankCluster,

@@ -4,6 +4,9 @@ Routers directly linked to the sink are excluded from delay rankings: their
 delay mirrors the sink's and says nothing about the topology. Top-k overlap
 is cluster-aware, so a tie cluster straddling position k contributes
 fractionally rather than by arbitrary tie breaking.
+
+A DoS sweep gives a second simulation-side answer: routers ranked by the
+deliveries lost while each one is attacked, relative to the stable runs.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import fmean, median
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .metrics import Direction, RankedClusters, rank_with_ties
 from .simulator import SimResult
@@ -86,6 +89,57 @@ def rank_by_delay(
         delays, Direction.HIGHER_IS_CRITICAL, tie_epsilon, subset=ranked_ids
     )
     return DelayRanking(clusters=clusters, excluded=excluded, k=k)
+
+
+def mean_final_delays(runs: Sequence[SimResult], routers: Iterable[str]) -> dict[str, float]:
+    """Final delay of each router, averaged over the runs (one per seed)."""
+    return {router: fmean(res.routers[router].final_delay for res in runs) for router in routers}
+
+
+@dataclass(frozen=True)
+class OutageImpact:
+    """Damage done by a DoS on one router, averaged over seeds.
+
+    ``delivery_loss_pct`` is relative to the stable runs' mean delivery
+    count; ``survivor_delay_shift_s`` is the mean change of final delay over
+    the other routers.
+    """
+
+    router_id: str
+    delivered: float
+    delivery_loss_pct: float
+    survivor_delay_shift_s: float
+
+
+def outage_impacts(
+    results: Mapping[str, Sequence[SimResult]], t: Topology
+) -> tuple[float, list[OutageImpact]]:
+    """Rank the routers of ``t`` by the delivery loss their DoS causes, worst first.
+
+    ``results`` maps "stable" and "dos:<router>" for every router to its
+    runs. Returns the stable mean delivery count and the impacts; ties keep
+    router declaration order.
+    """
+    baseline = results["stable"]
+    base_delivered = fmean(r.delivered_to_sink for r in baseline)
+    if base_delivered == 0:
+        raise ValueError("stable baseline delivered no packets, so delivery loss is "
+                         "undefined; run longer (--duration)")
+    base_delay = mean_final_delays(baseline, t.router_ids)
+    impacts = []
+    for router in t.router_ids:
+        runs = results[f"dos:{router}"]
+        delivered = fmean(r.delivered_to_sink for r in runs)
+        survivors = [x for x in t.router_ids if x != router]
+        delay = mean_final_delays(runs, survivors)
+        impacts.append(OutageImpact(
+            router_id=router,
+            delivered=delivered,
+            delivery_loss_pct=100.0 * (base_delivered - delivered) / base_delivered,
+            survivor_delay_shift_s=fmean(delay[x] - base_delay[x] for x in survivors),
+        ))
+    impacts.sort(key=lambda impact: -impact.delivery_loss_pct)
+    return base_delivered, impacts
 
 
 def midranks(rc: RankedClusters) -> dict:

@@ -1,9 +1,12 @@
-"""Command-line front end: metrics | simulate | compare | cases.
+"""Command-line front end: metrics | simulate | compare | case-study | sweep | cases.
 
-Output layout under --out (default ./out):
+Output layout under --out (default ./out; results for case-study,
+results/sweep for sweep):
     metrics/                     node_metrics.csv, edge_metrics.csv, rankings.csv
     runs/<scenario>/<seed>/      timeseries.csv, summary.csv, accounting.csv
     compare/                     comparison.csv, report.txt
+    delay_by_scenario.csv        case-study: mean final delay per router and scenario
+    attack_sweep.csv             sweep: routers ranked by delivery loss under DoS
 Scenario labels use '-' instead of ':' in directory names (dos:5 -> dos-5).
 Diagnostics go to stderr; summaries to stdout; data to files.
 """
@@ -16,9 +19,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import reports
-from .analysis import compare_rankings, rank_by_delay
+from .analysis import compare_rankings, mean_final_delays, outage_impacts, rank_by_delay
 from .metrics import (
-    NOT_COMPUTABLE,
     Direction,
     PowerIterationError,
     betweenness_centrality,
@@ -35,7 +37,20 @@ from .topology import (
     TopologyError,
     builtin_case,
     load_topology,
+    natural_key,
 )
+
+# Upper bound on the seeds of one campaign, checked before a range is built.
+MAX_SEEDS = 100_000
+TIE_EPSILON = 1e-9
+
+# Disturbance sets studied per case: DoS on the simulation-critical routers,
+# plus the DDoS pairs/triples tied to the top-ranked edges.
+CASE_SCENARIOS = {
+    1: ("dos:5", "dos:9", "dos:11", "ddos:5,7,11"),
+    2: ("dos:3", "dos:6", "ddos:1,3", "ddos:2,6"),
+    3: ("dos:2", "dos:6", "dos:10", "dos:14"),
+}
 
 
 def _add_topology_args(p: argparse.ArgumentParser) -> None:
@@ -69,9 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metrics", help="compute centrality metrics and rankings")
     _add_topology_args(p)
     p.add_argument("--out", default="out")
-    p.add_argument("--directed", action="store_true",
-                   help="treat generator and sink links as one-way for eccentricity")
-    p.add_argument("--tie-epsilon", type=float, default=1e-9)
+    p.add_argument("--tie-epsilon", type=float, default=TIE_EPSILON)
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("simulate", help="run (scenario x seed) simulation sweeps")
@@ -87,10 +100,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="out")
     p.add_argument("--scenario", default="stable")
     p.add_argument("--k", type=int, default=3, help="top-k depth (default: 3)")
-    p.add_argument("--tie-epsilon", type=float, default=1e-9)
-    p.add_argument("--directed", action="store_true")
+    p.add_argument("--tie-epsilon", type=float, default=TIE_EPSILON)
     _add_sim_args(p)
     p.set_defaults(func=cmd_compare)
+
+    p = sub.add_parser("case-study", help="rankings plus the case's DoS/DDoS set as a "
+                                          "per-router delay table")
+    p.add_argument("--case", type=int, choices=BUILTIN_CASE_IDS, required=True)
+    p.add_argument("--seeds", default="1..5")
+    p.add_argument("--duration", type=float, default=2000.0)
+    p.add_argument("--out", default="results")
+    p.set_defaults(func=cmd_case_study)
+
+    p = sub.add_parser("sweep", help="DoS every router in turn and rank routers by "
+                                     "delivery loss")
+    _add_topology_args(p)
+    p.add_argument("--seeds", default="1..5")
+    p.add_argument("--duration", type=float, default=1500.0)
+    p.add_argument("--out", default="results/sweep")
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("cases", help="list built-in case studies")
     p.set_defaults(func=cmd_cases)
@@ -104,6 +132,12 @@ def _load(args) -> Topology:
     return builtin_case(args.case)
 
 
+def _check_seed_bounds(seeds) -> None:
+    bad = [s for s in seeds if not 0 <= s < 2**64]
+    if bad:
+        raise ValueError(f"seeds must be unsigned 64-bit integers, got {bad[0]}")
+
+
 def parse_seeds(text: str) -> tuple[int, ...]:
     """Parse "--seeds": a comma-separated list of distinct seeds or a range a..b."""
     text = text.strip()
@@ -115,6 +149,10 @@ def parse_seeds(text: str) -> tuple[int, ...]:
             raise ValueError(f"bad seed range '{text}' (expected a..b)") from None
         if b < a:
             raise ValueError(f"seed range '{text}' ends before it starts")
+        _check_seed_bounds((a, b))
+        if b - a >= MAX_SEEDS:
+            raise ValueError(f"seed range '{text}' holds {b - a + 1} seeds "
+                             f"(at most {MAX_SEEDS})")
         return tuple(range(a, b + 1))
     try:
         seeds = tuple(int(p) for p in text.split(",") if p.strip())
@@ -122,50 +160,60 @@ def parse_seeds(text: str) -> tuple[int, ...]:
         raise ValueError(f"bad seeds '{text}' (expected a comma-separated list)") from None
     if not seeds:
         raise ValueError("no seeds given")
+    if len(seeds) > MAX_SEEDS:
+        raise ValueError(f"{len(seeds)} seeds given (at most {MAX_SEEDS})")
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be distinct")
     return seeds
 
 
-def core_edge_keys(t: Topology) -> list[tuple[str, str]]:
+def _core_edge_keys(t: Topology) -> list[tuple[str, str]]:
     """Edges between non-generator nodes (the infrastructure links)."""
     roles = t.roles
     return [e for e in t.edge_keys()
             if roles[e[0]] is not NodeRole.GENERATOR and roles[e[1]] is not NodeRole.GENERATOR]
 
 
-def metric_rankings(t: Topology, directed: bool, tie_epsilon: float, subset=None):
-    """All four metric rankings, restricted to routers (or a given subset)."""
-    node_subset = list(subset) if subset is not None else list(t.router_ids)
-    ecc = eccentricity_centrality(t, directed=directed)
-    rankings = {
-        "betweenness": rank_with_ties(betweenness_centrality(t),
-                                      Direction.HIGHER_IS_CRITICAL, tie_epsilon, node_subset),
-        "eccentricity": (NOT_COMPUTABLE if ecc is NOT_COMPUTABLE else
-                         rank_with_ties(ecc, Direction.LOWER_IS_CRITICAL, tie_epsilon,
-                                        node_subset)),
-        "eigenvector": rank_with_ties(eigenvector_centrality(t),
-                                      Direction.HIGHER_IS_CRITICAL, tie_epsilon, node_subset),
+def _node_metrics(t: Topology) -> dict[str, dict[str, float]]:
+    """The three node metrics of every node, each computed once, in report order."""
+    return {
+        "betweenness": betweenness_centrality(t),
+        "eccentricity": eccentricity_centrality(t),
+        "eigenvector": eigenvector_centrality(t),
     }
+
+
+def _rank_nodes(node_metrics, tie_epsilon: float, subset) -> dict:
+    """Rank ``subset`` by each node metric; a low eccentricity marks a critical node."""
+    return {
+        metric: rank_with_ties(values,
+                               Direction.LOWER_IS_CRITICAL if metric == "eccentricity"
+                               else Direction.HIGHER_IS_CRITICAL,
+                               tie_epsilon, subset)
+        for metric, values in node_metrics.items()
+    }
+
+
+def _centrality_rankings(t: Topology, node_metrics, edges, tie_epsilon: float) -> dict:
+    """Router rankings by each node metric, plus the core-edge betweenness ranking."""
+    rankings = _rank_nodes(node_metrics, tie_epsilon, t.router_ids)
+    rankings["edge_betweenness"] = rank_with_ties(
+        edges, Direction.HIGHER_IS_CRITICAL, tie_epsilon, _core_edge_keys(t)
+    )
     return rankings
 
 
 def cmd_metrics(args) -> int:
     t = _load(args)
-    bet = betweenness_centrality(t)
-    eig = eigenvector_centrality(t)
-    ecc = eccentricity_centrality(t, directed=args.directed)
+    nodes = _node_metrics(t)
     edges = edge_betweenness(t)
 
     out = Path(args.out) / "metrics"
     out.mkdir(parents=True, exist_ok=True)
-    reports.write_node_metrics(out / "node_metrics.csv", t, bet, ecc, eig)
+    reports.write_node_metrics(out / "node_metrics.csv", t, nodes["betweenness"],
+                               nodes["eccentricity"], nodes["eigenvector"])
     reports.write_edge_metrics(out / "edge_metrics.csv", edges)
-
-    rankings = metric_rankings(t, args.directed, args.tie_epsilon)
-    rankings["edge_betweenness"] = rank_with_ties(
-        edges, Direction.HIGHER_IS_CRITICAL, args.tie_epsilon, core_edge_keys(t)
-    )
+    rankings = _centrality_rankings(t, nodes, edges, args.tie_epsilon)
     reports.write_rankings(out / "rankings.csv", rankings)
 
     print(reports.cluster_summary_text(f"{t.name}: criticality rankings", rankings), end="")
@@ -195,9 +243,7 @@ class RunManifest:
             raise ValueError("manifest needs at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
-        bad = [s for s in self.seeds if not 0 <= s < 2**64]
-        if bad:
-            raise ValueError(f"seeds must be unsigned 64-bit integers, got {bad[0]}")
+        _check_seed_bounds(self.seeds)
         routers = set(self.topology.router_ids)
         for scenario in self.scenarios:
             missing = [r for r in scenario.targets if r not in routers]
@@ -281,20 +327,16 @@ def cmd_compare(args) -> int:
 
     delay = rank_by_delay(results, t, k=args.k, tie_epsilon=args.tie_epsilon)
     universe = [r for r in t.router_ids if r not in delay.excluded]
-    rankings = metric_rankings(t, args.directed, args.tie_epsilon, subset=universe)
-
-    comparisons = {}
-    for metric, rc in rankings.items():
-        if rc is NOT_COMPUTABLE:
-            print(f"note: {metric} not computable on this graph; skipped", file=sys.stderr)
-            continue
-        comparisons[metric] = compare_rankings(rc, delay, args.k)
+    comparisons = {
+        metric: compare_rankings(rc, delay, args.k)
+        for metric, rc in _rank_nodes(_node_metrics(t), args.tie_epsilon, universe).items()
+    }
 
     # Edge betweenness is projected onto routers as the heaviest
     # infrastructure link each router terminates, so it can be ranked
     # against per-router delays.
     edges = edge_betweenness(t)
-    core = core_edge_keys(t)
+    core = _core_edge_keys(t)
     router_share = {
         router: max((edges[e] for e in core if router in e), default=0.0)
         for router in universe
@@ -312,6 +354,49 @@ def cmd_compare(args) -> int:
     )
     (out / "report.txt").write_text(text, encoding="utf-8")
     print(text, end="")
+    return 0
+
+
+def cmd_case_study(args) -> int:
+    t = builtin_case(args.case)
+    scenarios = (Scenario.stable(),) + tuple(
+        Scenario.from_string(s) for s in CASE_SCENARIOS[args.case]
+    )
+    manifest = RunManifest(topology=t, scenarios=scenarios, seeds=parse_seeds(args.seeds),
+                           duration=args.duration, out_dir=Path(args.out))
+    rankings = _centrality_rankings(t, _node_metrics(t), edge_betweenness(t), TIE_EPSILON)
+    print(reports.cluster_summary_text(f"{t.name}: centrality rankings", rankings))
+
+    results = execute_manifest(manifest, echo=_echo_stderr)
+    routers = sorted(t.router_ids, key=natural_key)
+    mean_delay = {label: mean_final_delays(runs, routers) for label, runs in results.items()}
+    title = (f"{t.name}: mean final delay per router (s), {len(manifest.seeds)} seeds, "
+             f"duration {args.duration:g}s. '*' marks the attacked router(s).")
+    attacked = {s.label: s.targets for s in scenarios}
+    print("\n" + reports.delay_table_text(title, routers, mean_delay, attacked), end="")
+
+    table = Path(args.out) / "delay_by_scenario.csv"
+    reports.write_delay_table(table, routers, mean_delay)
+    print(f"\nwrote {table}", file=sys.stderr)
+    return 0
+
+
+def cmd_sweep(args) -> int:
+    t = _load(args)
+    scenarios = (Scenario.stable(),) + tuple(Scenario.dos(r) for r in t.router_ids)
+    manifest = RunManifest(topology=t, scenarios=scenarios, seeds=parse_seeds(args.seeds),
+                           duration=args.duration, out_dir=Path(args.out))
+    results = execute_manifest(manifest, echo=_echo_stderr)
+    base_delivered, impacts = outage_impacts(results, t)
+
+    title = (f"{t.name}: DoS sweep over {len(t.router_ids)} routers, "
+             f"{len(manifest.seeds)} seeds, duration {args.duration:g}s "
+             f"(stable delivered: {base_delivered:.0f})")
+    print("\n" + reports.attack_sweep_text(title, impacts), end="")
+
+    table = Path(args.out) / "attack_sweep.csv"
+    reports.write_attack_sweep(table, impacts)
+    print(f"\nwrote {table}", file=sys.stderr)
     return 0
 
 

@@ -7,9 +7,10 @@ Conventions, fixed for the whole package:
   (n-1)(n-2)/2 where n counts every node (generators and sink included).
 * Edge betweenness: same sum over paths through an edge, normalized by
   n(n-1)/2.
-* Eccentricity: longest shortest-path distance in hops; a LOW value marks a
-  critical node. Not computable when some pair is unreachable, which is the
-  usual outcome once generator and sink links are treated as one-way.
+* Eccentricity: longest shortest-path distance in hops over the undirected
+  graph; a LOW value marks a critical node. Validated topologies are
+  connected, so it is always defined; an unvalidated disconnected graph is
+  rejected with ValueError.
 * Eigenvector: dominant eigenvector of the adjacency matrix, unit Euclidean
   norm, all entries nonnegative.
 """
@@ -23,17 +24,7 @@ from typing import Hashable, Iterable, Mapping
 
 import numpy as np
 
-from .topology import NodeRole, Topology, edge_key
-
-
-class _NotComputable:
-    """Marker value: the metric is undefined on this graph (not a failure)."""
-
-    def __repr__(self) -> str:
-        return "NotComputable"
-
-
-NOT_COMPUTABLE = _NotComputable()
+from .topology import Topology, edge_key
 
 
 class PowerIterationError(RuntimeError):
@@ -123,43 +114,17 @@ def _bfs_distances(adj: Mapping[str, Iterable[str]], source: str) -> dict[str, i
     return dist
 
 
-def _directed_adjacency(t: Topology) -> dict[str, tuple[str, ...]]:
-    """Orientation with generator->router and router->sink links one-way."""
-    roles = t.roles
-    out: dict[str, list[str]] = {nid: [] for nid, _ in t.nodes}
-    for u, v in t.edges:
-        ru, rv = roles[u], roles[v]
-        if ru is NodeRole.GENERATOR:
-            out[u].append(v)
-        elif rv is NodeRole.GENERATOR:
-            out[v].append(u)
-        elif ru is NodeRole.SINK:
-            out[v].append(u)
-        elif rv is NodeRole.SINK:
-            out[u].append(v)
-        else:
-            out[u].append(v)
-            out[v].append(u)
-    return {nid: tuple(ns) for nid, ns in out.items()}
+def eccentricity_centrality(t: Topology) -> dict[str, int]:
+    """Eccentricity in hops per node; ValueError if some pair is unreachable."""
+    return _eccentricity_from_adj(t.adjacency)
 
 
-def eccentricity_centrality(t: Topology, directed: bool = False):
-    """Eccentricity in hops per node, or NOT_COMPUTABLE if any pair is unreachable.
-
-    With ``directed`` set, generator and sink links are one-way, which leaves
-    the graph not strongly connected whenever a generator exists.
-    """
-    adj = _directed_adjacency(t) if directed else t.adjacency
-    return _eccentricity_from_adj(adj)
-
-
-def _eccentricity_from_adj(adj: Mapping[str, Iterable[str]]):
-    n = len(adj)
+def _eccentricity_from_adj(adj: Mapping[str, Iterable[str]]) -> dict[str, int]:
     ecc: dict[str, int] = {}
     for v in adj:
         dist = _bfs_distances(adj, v)
-        if len(dist) < n:
-            return NOT_COMPUTABLE
+        if len(dist) < len(adj):
+            raise ValueError(f"eccentricity undefined: node {v} cannot reach every node")
         ecc[v] = max(dist.values())
     return ecc
 

@@ -1,4 +1,4 @@
-"""CSV emitters and readers for metrics, runs, and comparison reports.
+"""CSV emitters and readers for metrics, runs, comparison and sweep reports.
 
 Floats are written with repr() so files round-trip exactly and identical
 runs produce byte-identical output.
@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Mapping
+from typing import Collection, Mapping, Sequence
 
-from .analysis import RankingComparison
-from .metrics import NOT_COMPUTABLE, RankedClusters
+from .analysis import OutageImpact, RankingComparison
+from .metrics import RankedClusters
 from .simulator import SimResult
 from .topology import Topology, natural_key
 
@@ -24,8 +24,8 @@ SUMMARY_COLUMNS = ["router_id", "final_delay_s", "forwarded", "dropped_attack",
 ACCOUNTING_COLUMNS = ["generated", "delivered_to_sink", "dropped_by_attack",
                       "dropped_by_ttl", "in_flight_at_end"]
 COMPARISON_COLUMNS = ["metric", "k", "overlap", "spearman", "metric_topk", "delay_topk"]
-
-NOT_COMPUTABLE_TEXT = "X"
+ATTACK_SWEEP_COLUMNS = ["rank", "router_id", "delivered", "delivery_loss_pct",
+                        "survivor_delay_shift_s"]
 _MEMBER_SEP = ";"
 
 
@@ -51,9 +51,7 @@ def write_node_metrics(path: str | Path, t: Topology, betweenness, eccentricity,
     with handle:
         w.writerow(NODE_METRICS_COLUMNS)
         for nid, role in t.nodes:
-            ecc = (NOT_COMPUTABLE_TEXT if eccentricity is NOT_COMPUTABLE
-                   else str(int(eccentricity[nid])))
-            w.writerow([nid, role.value, _fmt(betweenness[nid]), ecc,
+            w.writerow([nid, role.value, _fmt(betweenness[nid]), int(eccentricity[nid]),
                         _fmt(eigenvector[nid])])
 
 
@@ -65,8 +63,7 @@ def read_node_metrics(path: str | Path) -> list[dict]:
                 "node_id": rec["node_id"],
                 "role": rec["role"],
                 "betweenness": float(rec["betweenness"]),
-                "eccentricity": (None if rec["eccentricity"] == NOT_COMPUTABLE_TEXT
-                                 else int(rec["eccentricity"])),
+                "eccentricity": int(rec["eccentricity"]),
                 "eigenvector": float(rec["eigenvector"]),
             })
     return rows
@@ -89,14 +86,11 @@ def read_edge_metrics(path: str | Path) -> dict[tuple[str, str], float]:
 
 
 def write_rankings(path: str | Path, rankings: Mapping[str, RankedClusters]) -> None:
-    """One row per (metric, cluster); NOT_COMPUTABLE metrics get a single X row."""
+    """One row per (metric, cluster)."""
     handle, w = _writer(Path(path))
     with handle:
         w.writerow(RANKINGS_COLUMNS)
         for metric, rc in rankings.items():
-            if rc is NOT_COMPUTABLE:
-                w.writerow([metric, "", "", NOT_COMPUTABLE_TEXT])
-                continue
             for cluster in rc.clusters:
                 w.writerow([metric, cluster.rank, _members_text(cluster.members),
                             _fmt(cluster.value)])
@@ -106,10 +100,6 @@ def read_rankings(path: str | Path) -> list[dict]:
     rows = []
     with Path(path).open(encoding="utf-8", newline="") as handle:
         for rec in csv.DictReader(handle):
-            if rec["value"] == NOT_COMPUTABLE_TEXT:
-                rows.append({"metric": rec["metric"], "rank": None, "members": (),
-                             "value": None})
-                continue
             members = tuple(rec["members"].split(_MEMBER_SEP)) if rec["members"] else ()
             rows.append({"metric": rec["metric"], "rank": int(rec["rank"]),
                          "members": members, "value": float(rec["value"])})
@@ -197,15 +187,30 @@ def read_comparison(path: str | Path) -> list[dict]:
     return rows
 
 
+def write_delay_table(path: str | Path, routers: Sequence[str],
+                      mean_delay: Mapping[str, Mapping[str, float]]) -> None:
+    """Mean final delay with one row per router and one column per scenario label."""
+    handle, w = _writer(Path(path))
+    with handle:
+        w.writerow(["router_id", *mean_delay])
+        for r in routers:
+            w.writerow([r] + [_fmt(delays[r]) for delays in mean_delay.values()])
+
+
+def write_attack_sweep(path: str | Path, impacts: Sequence[OutageImpact]) -> None:
+    handle, w = _writer(Path(path))
+    with handle:
+        w.writerow(ATTACK_SWEEP_COLUMNS)
+        for rank, i in enumerate(impacts, start=1):
+            w.writerow([rank, i.router_id, _fmt(i.delivered), _fmt(i.delivery_loss_pct),
+                        _fmt(i.survivor_delay_shift_s)])
+
+
 def cluster_summary_text(title: str, rankings: Mapping[str, RankedClusters]) -> str:
     """Human-readable cluster table: one line per rank, tied members in parens."""
     lines = [title]
     width = max(len(m) for m in rankings) + 2
     for metric, rc in rankings.items():
-        if rc is NOT_COMPUTABLE:
-            lines.append(f"{metric:<{width}} -     {NOT_COMPUTABLE_TEXT}  (not computable: "
-                         "some node pair is unreachable)")
-            continue
         for cluster in rc.clusters:
             members = ", ".join(
                 m if isinstance(m, str) else "-".join(m)
@@ -235,4 +240,25 @@ def comparison_report_text(
             f"metric_top{c.k}=({', '.join(c.metric_topk)})  "
             f"delay_top{c.k}=({', '.join(c.delay_topk)})"
         )
+    return "\n".join(lines) + "\n"
+
+
+def delay_table_text(title: str, routers: Sequence[str],
+                     mean_delay: Mapping[str, Mapping[str, float]],
+                     attacked: Mapping[str, Collection[str]]) -> str:
+    """Per-router delay table, one column per scenario; '*' marks attacked routers."""
+    width = max(len(label) for label in mean_delay) + 2
+    lines = [title, "router  " + "".join(f"{label:>{width}}" for label in mean_delay)]
+    for r in routers:
+        cells = "".join(f"{delays[r]:>{width - 1}.1f}{'*' if r in attacked[label] else ' '}"
+                        for label, delays in mean_delay.items())
+        lines.append(f"{r:>6}  {cells}")
+    return "\n".join(lines) + "\n"
+
+
+def attack_sweep_text(title: str, impacts: Sequence[OutageImpact]) -> str:
+    lines = [title, "rank  router  delivered  delivery_loss%  survivor_delay_shift_s"]
+    for rank, i in enumerate(impacts, start=1):
+        lines.append(f"{rank:>4}  {i.router_id:>6}  {i.delivered:>9.0f}  "
+                     f"{i.delivery_loss_pct:>13.1f}  {i.survivor_delay_shift_s:>21.2f}")
     return "\n".join(lines) + "\n"

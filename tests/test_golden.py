@@ -11,8 +11,6 @@ case, and of the case-study and DoS-sweep workflows at a short run.
 """
 
 import hashlib
-import runpy
-import sys
 from pathlib import Path
 
 import pytest
@@ -134,7 +132,8 @@ def test_metrics_outputs_match_golden_digests(case, tmp_path, capsys):
 
 
 # (workflow, case) -> (its own CSV, digest of that CSV, tree digest of runs/, stdout digest),
-# at seeds 1..2 and duration 20.
+# at seeds 1..2 and duration 20. Recorded from the experiment scripts these
+# commands replaced.
 WORKFLOW_GOLDEN = {
     ("case-study", 1): ("delay_by_scenario.csv",
                         "9335536c4285059335242d947810f6f52ff33e53e9466d2276d9471381cdf6ad",
@@ -158,23 +157,11 @@ WORKFLOW_GOLDEN = {
                    "c82b40709221a4dcf0a5b2641de68bfd7cc0ca54d360744eb70b734d1856461a"),
 }
 
-SCRIPTS = {"case-study": "run_case_study.py", "sweep": "attack_sweep.py"}
-
-
-def run_workflow(monkeypatch, workflow: str, *argv: str) -> int:
-    script = Path(__file__).resolve().parent.parent / "scripts" / SCRIPTS[workflow]
-    monkeypatch.setattr(sys, "argv", [script.name, *argv])
-    with pytest.raises(SystemExit) as exc:
-        runpy.run_path(str(script), run_name="__main__")
-    return exc.value.code
-
-
 @pytest.mark.parametrize("workflow,case", sorted(WORKFLOW_GOLDEN),
                          ids=[f"{w}-{c}" for w, c in sorted(WORKFLOW_GOLDEN)])
-def test_workflow_outputs_match_golden_digests(workflow, case, tmp_path, capsys,
-                                               monkeypatch):
-    assert run_workflow(monkeypatch, workflow, "--case", str(case), "--seeds", "1..2",
-                        "--duration", "20", "--out", str(tmp_path)) == 0
+def test_workflow_outputs_match_golden_digests(workflow, case, tmp_path, capsys):
+    assert main([workflow, "--case", str(case), "--seeds", "1..2",
+                 "--duration", "20", "--out", str(tmp_path)]) == 0
     table, table_digest, runs_digest, stdout_digest = WORKFLOW_GOLDEN[workflow, case]
     assert sha256((tmp_path / table).read_bytes()) == table_digest
     assert tree_digest(tmp_path / "runs") == runs_digest

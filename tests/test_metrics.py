@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import oracles
 from conftest import make_random_topology, topologies
 from netcrit.metrics import (
-    NOT_COMPUTABLE,
     Direction,
     _eccentricity_from_adj,
     _power_iteration,
@@ -106,10 +105,12 @@ class TestEccentricity:
         ecc = eccentricity_centrality(t)
         assert all(ecc[r] == 3 for r in t.router_ids)
 
-    @pytest.mark.parametrize("case_id", [1, 2, 3])
-    def test_directed_variant_not_computable(self, case_id):
-        result = eccentricity_centrality(builtin_case(case_id), directed=True)
-        assert result is NOT_COMPUTABLE
+    def test_disconnected_graph_rejected(self):
+        t = Topology(name="split", nodes=(("S", NodeRole.SINK), ("R", NodeRole.ROUTER),
+                                          ("G", NodeRole.GENERATOR)),
+                     edges=(("S", "R"),))
+        with pytest.raises(ValueError, match="cannot reach every node"):
+            eccentricity_centrality(t)
 
     def test_matches_floyd_warshall(self):
         rng = random.Random(7)

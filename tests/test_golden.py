@@ -7,7 +7,8 @@ on every arrival), and a generator linked to two routers. Any change to the
 order or the conditions of the random draws changes these digests.
 
 It also pins the files and stdout of the metrics command on every built-in
-case, and of the case-study and DoS-sweep workflows at a short run.
+case and on an 80-router chorded ring, and of the case-study and DoS-sweep
+workflows at a short run.
 """
 
 import hashlib
@@ -129,6 +130,42 @@ def test_metrics_outputs_match_golden_digests(case, tmp_path, capsys):
              for name in ("node_metrics.csv", "edge_metrics.csv", "rankings.csv")}
     found["stdout"] = sha256(capsys.readouterr().out.encode())
     assert found == METRICS_GOLDEN[case]
+
+
+def chorded_ring_text(routers: int = 80) -> str:
+    """Routers 1..n on a ring, with a chord to the router 8 ahead from every
+    fourth one and across the ring from every tenth: many equal-length paths,
+    so betweenness sums many fractional path counts. The sink links to routers
+    1 and n/2 + 1 and a generator hangs off every fifth router."""
+    half = routers // 2
+    lines = ["node S sink"] + [f"node {i} router" for i in range(1, routers + 1)]
+    gens = range(1, routers + 1, 5)
+    lines += [f"node G{i} generator" for i in gens]
+    ahead = lambda i, k: (i + k - 1) % routers + 1
+    lines += [f"edge {i} {ahead(i, 1)}" for i in range(1, routers + 1)]
+    lines += [f"edge {i} {ahead(i, 8)}" for i in range(1, routers + 1, 4)]
+    lines += [f"edge {i} {ahead(i, half)}" for i in range(3, half + 1, 10)]
+    lines += ["edge S 1", f"edge S {half + 1}"]
+    lines += [f"edge G{i} {i}" for i in gens]
+    return "\n".join(lines) + "\n"
+
+
+CHORDED_RING_GOLDEN = {
+    "node_metrics.csv": "7c60d60b956caf699c898bf6d7fb85fa12fac9eda6948e27b9b72b0ec4dbdba6",
+    "edge_metrics.csv": "572ef7a52390880e1ecb9fadf76cef6b50266a00bc0b150eb55df69c61f97caf",
+    "rankings.csv": "bb36e944c5b103a50eab6cd2d05a5108b0feeaa68cf44e319997a3aa11d9b1ee",
+    "stdout": "12ab6ea51adaf77c1f2a09851901cf77d1d7fe04d4489feef62b121c3a08d1cc",
+}
+
+
+def test_metrics_on_chorded_ring_match_golden_digests(tmp_path, capsys):
+    topo = tmp_path / "chorded.topo"
+    topo.write_text(chorded_ring_text())
+    assert main(["metrics", "--topology", str(topo), "--out", str(tmp_path)]) == 0
+    found = {name: sha256((tmp_path / "metrics" / name).read_bytes())
+             for name in ("node_metrics.csv", "edge_metrics.csv", "rankings.csv")}
+    found["stdout"] = sha256(capsys.readouterr().out.encode())
+    assert found == CHORDED_RING_GOLDEN
 
 
 # (workflow, case) -> (its own CSV, digest of that CSV, tree digest of runs/, stdout digest),

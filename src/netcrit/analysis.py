@@ -102,7 +102,8 @@ class OutageImpact:
 
     ``delivery_loss_pct`` is relative to the stable runs' mean delivery
     count; ``survivor_delay_shift_s`` is the mean change of final delay over
-    the other routers.
+    the other routers, and 0.0 when there are none (a one-router network),
+    as the simulator reports 0.0 delay for a router that forwarded nothing.
     """
 
     router_id: str
@@ -136,7 +137,7 @@ def outage_impacts(
             router_id=router,
             delivered=delivered,
             delivery_loss_pct=100.0 * (base_delivered - delivered) / base_delivered,
-            survivor_delay_shift_s=fmean(delay[x] - base_delay[x] for x in survivors),
+            survivor_delay_shift_s=fmean([delay[x] - base_delay[x] for x in survivors] or [0.0]),
         ))
     impacts.sort(key=lambda impact: -impact.delivery_loss_pct)
     return base_delivered, impacts

@@ -13,13 +13,17 @@ Conventions, fixed for the whole package:
   rejected with ValueError.
 * Eigenvector: dominant eigenvector of the adjacency matrix, unit Euclidean
   norm, all entries nonnegative.
+
+Node betweenness, edge betweenness and eccentricity come from one shared
+shortest-path pass per topology (one BFS per source), cached for the last
+topology seen.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Hashable, Iterable, Mapping
 
 import numpy as np
@@ -39,94 +43,88 @@ class PowerIterationError(RuntimeError):
         self.residual = residual
 
 
-def _brandes(adj: Mapping[str, Iterable[str]], want_edges: bool):
-    """One pass of Brandes' accumulation over all sources.
+@lru_cache(maxsize=1)
+def _shortest_paths(t: Topology):
+    """One pass of Brandes' accumulation over every source, on integer ids.
 
-    Returns ordered-pair sums; callers halve them for undirected graphs.
+    Each source's BFS and dependency sweep yield node and edge sums at once
+    (Brandes 2008, "On variants of shortest-path betweenness centrality and
+    their generic computation"), and the BFS also gives its eccentricity.
+    Nodes are numbered in adjacency order and edges in first-seen order of
+    ``edge_key`` over that adjacency. Returns five tuples, so the cached
+    result cannot be mutated: node ids, node sums, edge keys, edge sums (sums
+    over ordered pairs; callers halve them for undirected graphs) and each
+    node's eccentricity, the distance of the last node its BFS reaches or
+    None when it does not reach every node.
     """
+    adj = t.adjacency
     nodes = list(adj)
-    node_acc = dict.fromkeys(nodes, 0.0)
-    edge_acc: dict[tuple[str, str], float] = {}
-    if want_edges:
-        for v in nodes:
-            for w in adj[v]:
-                edge_acc[edge_key(v, w)] = 0.0
+    index = {v: i for i, v in enumerate(nodes)}
+    slot: dict[tuple[str, str], int] = {}
+    nbrs = []
+    for v in nodes:
+        nbrs.append([(index[w], slot.setdefault(edge_key(v, w), len(slot)))
+                     for w in adj[v]])
+    n = len(nodes)
+    node_acc = [0.0] * n
+    edge_acc = [0.0] * len(slot)
+    ecc = []
 
-    for s in nodes:
-        dist = {s: 0}
-        sigma = dict.fromkeys(nodes, 0.0)
+    for s in range(n):
+        dist = [-1] * n
+        dist[s] = 0
+        sigma = [0.0] * n
         sigma[s] = 1.0
-        preds: dict[str, list[str]] = {v: [] for v in nodes}
-        order: list[str] = []
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            dv = dist[v]
-            for w in adj[v]:
-                if w not in dist:
-                    dist[w] = dv + 1
-                    queue.append(w)
-                if dist[w] == dv + 1:
+        preds: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        order = [s]
+        for v in order:  # the BFS queue: the loop reads what it appends
+            dw = dist[v] + 1
+            for w, e in nbrs[v]:
+                if dist[w] < 0:
+                    dist[w] = dw
+                    order.append(w)
+                if dist[w] == dw:
                     sigma[w] += sigma[v]
-                    preds[w].append(v)
-        delta = dict.fromkeys(nodes, 0.0)
+                    preds[w].append((v, e))
+        ecc.append(dist[order[-1]] if len(order) == n else None)
+        delta = [0.0] * n
         for w in reversed(order):
             coeff = (1.0 + delta[w]) / sigma[w]
-            for v in preds[w]:
+            for v, e in preds[w]:
                 c = sigma[v] * coeff
-                if want_edges:
-                    edge_acc[edge_key(v, w)] += c
+                edge_acc[e] += c
                 delta[v] += c
             if w != s:
                 node_acc[w] += delta[w]
 
-    return node_acc, edge_acc
+    return tuple(nodes), tuple(node_acc), tuple(slot), tuple(edge_acc), tuple(ecc)
 
 
 def betweenness_centrality(t: Topology) -> dict[str, float]:
     """Shortest-path betweenness of every node, normalized to [0, 1]."""
     n = len(t.nodes)
-    node_acc, _ = _brandes(t.adjacency, want_edges=False)
+    nodes, node_acc, _, _, _ = _shortest_paths(t)
     pairs = (n - 1) * (n - 2) / 2.0
     if pairs <= 0:
-        return {v: 0.0 for v in node_acc}
-    return {v: acc / 2.0 / pairs for v, acc in node_acc.items()}
+        return {v: 0.0 for v in nodes}
+    return {v: acc / 2.0 / pairs for v, acc in zip(nodes, node_acc)}
 
 
 def edge_betweenness(t: Topology) -> dict[tuple[str, str], float]:
     """Shortest-path betweenness of every edge, normalized to [0, 1]."""
     n = len(t.nodes)
-    _, edge_acc = _brandes(t.adjacency, want_edges=True)
+    _, _, edges, edge_acc, _ = _shortest_paths(t)
     pairs = n * (n - 1) / 2.0
-    return {e: acc / 2.0 / pairs for e, acc in edge_acc.items()}
-
-
-def _bfs_distances(adj: Mapping[str, Iterable[str]], source: str) -> dict[str, int]:
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
+    return {e: acc / 2.0 / pairs for e, acc in zip(edges, edge_acc)}
 
 
 def eccentricity_centrality(t: Topology) -> dict[str, int]:
     """Eccentricity in hops per node; ValueError if some pair is unreachable."""
-    return _eccentricity_from_adj(t.adjacency)
-
-
-def _eccentricity_from_adj(adj: Mapping[str, Iterable[str]]) -> dict[str, int]:
-    ecc: dict[str, int] = {}
-    for v in adj:
-        dist = _bfs_distances(adj, v)
-        if len(dist) < len(adj):
+    nodes, _, _, _, ecc = _shortest_paths(t)
+    for v, e in zip(nodes, ecc):
+        if e is None:
             raise ValueError(f"eccentricity undefined: node {v} cannot reach every node")
-        ecc[v] = max(dist.values())
-    return ecc
+    return dict(zip(nodes, ecc))
 
 
 def eigenvector_centrality(

@@ -252,6 +252,17 @@ class TestSweepCommand:
         assert rows[0] == ",".join(reports.ATTACK_SWEEP_COLUMNS)
         assert len(rows) == 1 + len(builtin_case(3).router_ids)
 
+    def test_one_router_has_no_survivors(self, tmp_path, capsys):
+        # A DoS on the only router leaves no survivor delay to average: the
+        # shift is reported as 0.0 instead of failing the sweep.
+        topo = tmp_path / "one.topo"
+        topo.write_text("node S sink\nnode R router\nnode G generator\nedge S R\nedge R G\n")
+        assert run_cli("sweep", "--topology", str(topo), "--seeds", "1", "--duration", "50",
+                       "--out", str(tmp_path / "out")) == 0
+        rows = (tmp_path / "out" / "attack_sweep.csv").read_text().splitlines()
+        assert rows[1:] == ["1,R,0.0,100.0,0.0"]
+        assert "100.0" in capsys.readouterr().out
+
     @pytest.mark.parametrize("case,duration", [(3, "1"), (1, "3")])
     def test_empty_baseline_is_an_error(self, tmp_path, capsys, case, duration):
         assert run_cli("sweep", "--case", str(case), "--seeds", "1", "--duration", duration,

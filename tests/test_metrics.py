@@ -9,7 +9,6 @@ import oracles
 from conftest import make_random_topology, topologies
 from netcrit.metrics import (
     Direction,
-    _eccentricity_from_adj,
     _power_iteration,
     betweenness_centrality,
     eccentricity_centrality,
@@ -90,8 +89,10 @@ class TestEdgeBetweenness:
 
 class TestEccentricity:
     def test_triangle_all_one(self):
-        adj = {"a": ("b", "c"), "b": ("a", "c"), "c": ("a", "b")}
-        assert _eccentricity_from_adj(adj) == {"a": 1, "b": 1, "c": 1}
+        t = Topology(name="triangle", nodes=(("a", NodeRole.ROUTER), ("b", NodeRole.ROUTER),
+                                             ("c", NodeRole.ROUTER)),
+                     edges=(("a", "b"), ("b", "c"), ("a", "c")))
+        assert eccentricity_centrality(t) == {"a": 1, "b": 1, "c": 1}
 
     def test_case2_exact_values(self):
         ecc = eccentricity_centrality(builtin_case(2))
@@ -106,17 +107,38 @@ class TestEccentricity:
         assert all(ecc[r] == 3 for r in t.router_ids)
 
     def test_disconnected_graph_rejected(self):
+        # Only eccentricity is undefined here: the shortest-path pass it
+        # shares with both betweenness metrics must not raise for them.
         t = Topology(name="split", nodes=(("S", NodeRole.SINK), ("R", NodeRole.ROUTER),
                                           ("G", NodeRole.GENERATOR)),
                      edges=(("S", "R"),))
         with pytest.raises(ValueError, match="cannot reach every node"):
             eccentricity_centrality(t)
+        assert betweenness_centrality(t) == {"S": 0.0, "R": 0.0, "G": 0.0}
+        assert edge_betweenness(t) == {("R", "S"): 1 / 3}
 
     def test_matches_floyd_warshall(self):
         rng = random.Random(7)
         for _ in range(25):
             t = make_random_topology(rng)
             assert eccentricity_centrality(t) == oracles.floyd_warshall_eccentricity(t.adjacency)
+
+
+class TestSharedPass:
+    def test_results_survive_mutation_and_alternation(self):
+        # The three metrics share one cached shortest-path pass per topology;
+        # each call must return a fresh dict that the caller may change.
+        t1, t2 = builtin_case(2), builtin_case(3)
+        fns = (betweenness_centrality, edge_betweenness, eccentricity_centrality)
+        first = {(t.name, f.__name__): dict(f(t)) for t in (t1, t2) for f in fns}
+        for t in (t1, t2, t1):
+            for f in fns:
+                for _ in range(2):
+                    got = f(t)
+                    assert got == first[t.name, f.__name__]
+                    for key in got:
+                        got[key] = -1
+                    got["stale"] = -1
 
 
 class TestEigenvector:

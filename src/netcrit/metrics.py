@@ -61,10 +61,8 @@ def _shortest_paths(t: Topology):
     nodes = list(adj)
     index = {v: i for i, v in enumerate(nodes)}
     slot: dict[tuple[str, str], int] = {}
-    nbrs = []
-    for v in nodes:
-        nbrs.append([(index[w], slot.setdefault(edge_key(v, w), len(slot)))
-                     for w in adj[v]])
+    nbrs = [[(index[w], slot.setdefault(edge_key(v, w), len(slot))) for w in adj[v]]
+            for v in nodes]
     n = len(nodes)
     node_acc = [0.0] * n
     edge_acc = [0.0] * len(slot)

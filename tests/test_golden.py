@@ -137,11 +137,13 @@ def chorded_ring_text(routers: int = 80) -> str:
     fourth one and across the ring from every tenth: many equal-length paths,
     so betweenness sums many fractional path counts. The sink links to routers
     1 and n/2 + 1 and a generator hangs off every fifth router."""
+    def ahead(i: int, k: int) -> int:
+        return (i + k - 1) % routers + 1
+
     half = routers // 2
     lines = ["node S sink"] + [f"node {i} router" for i in range(1, routers + 1)]
     gens = range(1, routers + 1, 5)
     lines += [f"node G{i} generator" for i in gens]
-    ahead = lambda i, k: (i + k - 1) % routers + 1
     lines += [f"edge {i} {ahead(i, 1)}" for i in range(1, routers + 1)]
     lines += [f"edge {i} {ahead(i, 8)}" for i in range(1, routers + 1, 4)]
     lines += [f"edge {i} {ahead(i, half)}" for i in range(3, half + 1, 10)]

@@ -207,13 +207,13 @@ def cmd_metrics(args) -> int:
     t = _load(args)
     nodes = _node_metrics(t)
     edges = edge_betweenness(t)
+    rankings = _centrality_rankings(t, nodes, edges, args.tie_epsilon)
 
     out = Path(args.out) / "metrics"
     out.mkdir(parents=True, exist_ok=True)
     reports.write_node_metrics(out / "node_metrics.csv", t, nodes["betweenness"],
                                nodes["eccentricity"], nodes["eigenvector"])
     reports.write_edge_metrics(out / "edge_metrics.csv", edges)
-    rankings = _centrality_rankings(t, nodes, edges, args.tie_epsilon)
     reports.write_rankings(out / "rankings.csv", rankings)
 
     print(reports.cluster_summary_text(f"{t.name}: criticality rankings", rankings), end="")

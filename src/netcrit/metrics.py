@@ -21,6 +21,7 @@ topology seen.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -206,8 +207,8 @@ def rank_with_ties(
 
     ``subset`` restricts the ranking, e.g. to router nodes only.
     """
-    if tie_epsilon < 0:
-        raise ValueError("tie_epsilon must be >= 0")
+    if not (math.isfinite(tie_epsilon) and tie_epsilon >= 0):
+        raise ValueError("tie_epsilon must be finite and >= 0")
     if subset is not None:
         keys = list(subset)
         missing = [k for k in keys if k not in values]

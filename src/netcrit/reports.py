@@ -107,12 +107,33 @@ def read_rankings(path: str | Path) -> list[dict]:
 
 
 def write_timeseries(path: str | Path, result: SimResult) -> None:
-    handle, w = _writer(Path(path))
-    with handle:
-        w.writerow(TIMESERIES_COLUMNS)
+    """One row per sample, byte for byte what ``csv.writer`` and ``_fmt`` write.
+
+    Rows are built as plain strings, which is safe because router ids match
+    ``[A-Za-z0-9_]+`` and ``repr`` of a float never needs quoting. Each
+    distinct sample time is formatted once (fixed-tick times repeat across
+    routers) and a router's delay only when it changes. Zeros are never
+    reused, since ``0.0 == -0.0`` but their text differs. Each router's rows
+    go out in one ``write``.
+    """
+    time_text: dict[float, str] = {}
+    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+        handle.write(",".join(TIMESERIES_COLUMNS) + "\n")
         for router, series in result.samples.items():
+            lines = []
+            append = lines.append
+            last = None
             for time_s, delay_s in series:
-                w.writerow([router, _fmt(time_s), _fmt(delay_s)])
+                tt = time_text.get(time_s)
+                if tt is None:
+                    tt = f",{float(time_s)!r},"
+                    if time_s:
+                        time_text[time_s] = tt
+                if delay_s != last or not delay_s:
+                    last = delay_s
+                    dt = f"{float(delay_s)!r}\n"
+                append(f"{router}{tt}{dt}")
+            handle.write("".join(lines))
 
 
 def read_timeseries(path: str | Path) -> dict[str, list[tuple[float, float]]]:

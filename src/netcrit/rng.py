@@ -5,35 +5,39 @@ monitor) owns an independent PCG64 stream whose seed is derived from the run
 seed and the actor's identity via SHA-256. Splitting this way means adding
 or removing one node never perturbs any other node's draws, and a run is a
 pure function of (topology, config, scenario, seed).
+
+A stream draws its uniforms from numpy in chunks and hands them out one by
+one. The fast path relies on PCG64's ``random(n)`` being chunk-size
+independent: k calls of ``random(n)`` yield the same doubles as one call of
+``random(k * n)``, so ``_CHUNK`` sets only the buffer size (256 doubles,
+about 8 KB of Python floats per stream), never the draws.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 
 import numpy as np
 
-_CHUNK = 1024
+_CHUNK = 256
 _SEP = b"\x1f"  # unit separator; cannot appear in whitespace-free node ids
 
 
 class Stream:
-    """Buffered uniform [0, 1) draws from one PCG64 substream."""
+    """Buffered uniform [0, 1) draws from one PCG64 substream.
 
-    __slots__ = ("_gen", "_buf", "_pos")
+    ``random()`` is ``next`` over the chained chunks, each converted to a
+    list of Python floats with ``tolist()``, so a draw is one C-level call.
+    """
+
+    __slots__ = ("random",)
 
     def __init__(self, substream_seed: int):
-        self._gen = np.random.Generator(np.random.PCG64(substream_seed))
-        self._buf = self._gen.random(_CHUNK)
-        self._pos = 0
-
-    def random(self) -> float:
-        pos = self._pos
-        if pos == _CHUNK:
-            self._buf = self._gen.random(_CHUNK)
-            pos = 0
-        self._pos = pos + 1
-        return float(self._buf[pos])
+        gen = np.random.Generator(np.random.PCG64(substream_seed))
+        chunks = iter(lambda: gen.random(_CHUNK).tolist(), None)
+        self.random = functools.partial(next, itertools.chain.from_iterable(chunks))
 
 
 def substream_seed(seed: int, *scope: str) -> int:

@@ -46,6 +46,11 @@ def sample_exponential(rng, mean: float) -> float:
     return -mean * math.log1p(-rng.random())
 
 
+def _positive_finite(x: float) -> bool:
+    # nan fails every comparison, so "x <= 0" alone would let it through.
+    return math.isfinite(x) and x > 0
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Run parameters. Times are continuous double-precision seconds.
@@ -69,18 +74,16 @@ class SimConfig:
     event_cap: int = 100_000_000
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("duration must be > 0")
-        for name in ("mean_packet_size", "mean_interarrival", "router_service_rate",
-                     "monitor_interval"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+        for name in ("duration", "mean_packet_size", "mean_interarrival",
+                     "router_service_rate", "monitor_interval"):
+            if not _positive_finite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite and > 0")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
         if self.ttl < 0:
             raise ValueError("ttl must be >= 0 (0 = unlimited)")
-        if self.interarrival_cap is not None and self.interarrival_cap <= 0:
-            raise ValueError("interarrival_cap must be > 0 when set")
+        if self.interarrival_cap is not None and not _positive_finite(self.interarrival_cap):
+            raise ValueError("interarrival_cap must be finite and > 0 when set")
         if self.event_cap <= 0:
             raise ValueError("event_cap must be > 0")
 
@@ -222,7 +225,7 @@ def run(
     generators = topology.generator_ids
     gen_targets = [tuple(index[r] for r in topology.adjacency[g]) for g in generators]
     gen_streams = [stream(config.seed, "generator", g) for g in generators]
-    router_streams = [stream(config.seed, "router", r) for r in routers]
+    router_random = [stream(config.seed, "router", r).random for r in routers]
     monitor_streams = ([stream(config.seed, "monitor", r) for r in routers]
                        if config.exponential_sampling else [])
 
@@ -242,6 +245,7 @@ def run(
     size_total = inter_total = 0.0
     mean_service = 1.0 / config.router_service_rate
     duration, ttl, cap = config.duration, config.ttl, config.interarrival_cap
+    log1p = math.log1p
 
     def interarrival(rng) -> float:
         dt = sample_exponential(rng, config.mean_interarrival)
@@ -273,7 +277,7 @@ def run(
 
         if kind == _ARRIVE:
             p = admit[node]
-            if p is not None and router_streams[node].random() >= p:
+            if p is not None and router_random[node]() >= p:
                 dropped[node] += 1
                 dropped_attack += 1
                 if on_event is not None:
@@ -284,7 +288,9 @@ def run(
             queue = queues[node]
             queue.append((pkt, now))
             if len(queue) == 1:
-                done = now + sample_exponential(router_streams[node], mean_service)
+                # Inlined service draw: now - m * log1p(-u) is bit-equal to
+                # now + sample_exponential(rng, m), since -m * x == -(m * x).
+                done = now - mean_service * log1p(-router_random[node]())
                 heappush(heap, (done, next(seq), _COMPLETE, node, None))
 
         elif kind == _COMPLETE:
@@ -301,7 +307,7 @@ def run(
                 if len(candidates) == 1:
                     dest = candidates[0]
                 else:
-                    dest = candidates[int(router_streams[node].random() * len(candidates))]
+                    dest = candidates[int(router_random[node]() * len(candidates))]
                 if on_event is not None:
                     on_event("forward", now, routers[node], pid)
                 if dest == sink:
@@ -309,7 +315,7 @@ def run(
                 else:
                     heappush(heap, (now, next(seq), _ARRIVE, dest, (pid, node, hop_count + 1)))
             if queue:
-                done = now + sample_exponential(router_streams[node], mean_service)
+                done = now - mean_service * log1p(-router_random[node]())
                 heappush(heap, (done, next(seq), _COMPLETE, node, None))
 
         elif kind == _GEN:
@@ -330,8 +336,8 @@ def run(
             heappush(heap, (now + dt, next(seq), _GEN, node, None))
 
         elif node is None:  # _MONITOR, fixed tick for every router
-            for r, series in enumerate(samples):
-                series.append((now, delay(r)))
+            for series, s, f in zip(samples, sojourn, forwarded):
+                series.append((now, s / f if f else 0.0))
             heappush(heap, (now + config.monitor_interval, next(seq), _MONITOR, None, None))
 
         else:  # _MONITOR, exponential gap for one router

@@ -55,6 +55,12 @@ class TestMetricsCommand:
         assert calls == {"betweenness_centrality": 1, "eccentricity_centrality": 1,
                          "eigenvector_centrality": 1, "edge_betweenness": 1}
 
+    def test_non_finite_tie_epsilon_is_an_error(self, tmp_path, capsys):
+        rc = run_cli("metrics", "--case", "3", "--tie-epsilon", "nan", "--out", str(tmp_path))
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: tie_epsilon must be finite")
+        assert not (tmp_path / "metrics").exists()
+
     def test_directed_option_removed(self, capsys):
         assert run_cli("metrics", "--case", "1", "--directed") == 2
 
@@ -122,6 +128,22 @@ class TestSimulateCommand:
                      "--seeds", "1,1", "--duration", "10", "--out", str(tmp_path))
         assert rc == 1
         assert "distinct" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, field", [
+        ("--duration", "duration"),
+        ("--mean-packet-size", "mean_packet_size"),
+        ("--mean-interarrival", "mean_interarrival"),
+        ("--service-rate", "router_service_rate"),
+        ("--monitor-interval", "monitor_interval"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_parameter_is_an_error(self, tmp_path, capsys, option, field, value):
+        # argparse keeps the last value, so this also covers --duration itself.
+        rc = run_cli("simulate", "--case", "3", "--seeds", "1", "--out", str(tmp_path),
+                     "--duration", "10", option, value)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {field} must be finite")
+        assert not (tmp_path / "runs").exists()
 
     def test_timeseries_round_trips(self, tmp_path):
         assert run_cli("simulate", "--case", "3", "--scenario", "stable",

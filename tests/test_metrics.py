@@ -267,6 +267,11 @@ class TestRankWithTies:
         with pytest.raises(ValueError):
             rank_with_ties({"a": 1.0}, tie_epsilon=-1e-3)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_non_finite_epsilon_rejected(self, eps):
+        with pytest.raises(ValueError, match="tie_epsilon must be finite"):
+            rank_with_ties({"a": 1.0}, tie_epsilon=eps)
+
     @given(
         st.dictionaries(st.text(min_size=1, max_size=3), st.floats(-100, 100), min_size=1),
         st.floats(0, 1.0),

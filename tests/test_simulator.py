@@ -2,12 +2,13 @@ import math
 from collections import defaultdict
 from statistics import fmean
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import topologies
-from netcrit.rng import stream, substream_seed
+from netcrit.rng import _CHUNK, stream, substream_seed
 from netcrit.simulator import (
     Scenario,
     SimConfig,
@@ -60,6 +61,28 @@ class TestStreams:
     def test_same_scope_reproduces(self):
         assert [stream(7, "x").random() for _ in range(5)] == [
             stream(7, "x").random() for _ in range(5)]
+
+    def test_draws_across_chunk_boundaries(self):
+        n = 3 * _CHUNK + 5
+        s = stream(42, "router", "7")
+        expected = np.random.Generator(
+            np.random.PCG64(substream_seed(42, "router", "7"))).random(n).tolist()
+        assert [s.random() for _ in range(n)] == expected
+
+    def test_interleaved_streams_do_not_interfere(self):
+        n = 2 * _CHUNK + 3
+        a, b = stream(5, "a"), stream(5, "b")
+        alone_a = [a.random() for _ in range(n)]
+        alone_b = [b.random() for _ in range(n)]
+        a, b = stream(5, "a"), stream(5, "b")
+        mixed_a, mixed_b = [], []
+        for i in range(n):  # b draws at half a's pace, so their refills fall apart
+            mixed_a.append(a.random())
+            if i % 2:
+                mixed_b.append(b.random())
+        mixed_b += [b.random() for _ in range(n - len(mixed_b))]
+        assert mixed_a == alone_a
+        assert mixed_b == alone_b
 
     def test_seed_validation(self):
         with pytest.raises(ValueError):
@@ -176,6 +199,14 @@ class TestConfig:
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["duration", "mean_packet_size", "mean_interarrival",
+                                       "router_service_rate", "monitor_interval",
+                                       "interarrival_cap"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SimConfig(**{"duration": 10.0, field: value})
 
 
 class TestRun:

@@ -3,8 +3,10 @@
 The runs cover the kernel branches the default configuration never takes:
 a hop budget, exponential monitor sampling, truncated inter-arrivals, DDoS,
 an attack whose admit probability is 1.0 (an admission draw still happens
-on every arrival), and a generator linked to two routers. Any change to the
-order or the conditions of the random draws changes these digests.
+on every arrival), and a generator linked to two routers. Six seeded random
+topologies add leaf routers that send packets back, routers fed by several
+generators, and every scenario kind with and without a hop budget. Any change
+to the order or the conditions of the random draws changes these digests.
 
 It also pins the files and stdout of the metrics command on every built-in
 case and on an 80-router chorded ring, and of the case-study and DoS-sweep
@@ -12,9 +14,11 @@ workflows at a short run.
 """
 
 import hashlib
+import random
 from pathlib import Path
 
 import pytest
+from conftest import make_random_topology
 
 from netcrit import reports
 from netcrit.cli import main
@@ -43,6 +47,26 @@ RUNS = {
                         Scenario.dos("C", attack_forwarding_probability=1.0)),
 }
 
+
+def random_topology(seed: int):
+    return lambda: make_random_topology(random.Random(seed))
+
+
+# Topology seed -> scenario and hop budget. Seeds 6, 12, 19 and 35 have leaf
+# routers; seeds 9, 12 and 21 have a router fed by several generators.
+RANDOM_RUNS = {
+    6: (Scenario.stable(), 0),
+    19: (Scenario.dos("r2"), 0),
+    12: (Scenario.ddos(["r1", "r2"], attack_forwarding_probability=0.2), 4),
+    35: (Scenario.stable(), 3),
+    9: (Scenario.dos("r0", attack_forwarding_probability=0.5), 0),
+    21: (Scenario.ddos(["r0", "r1"], attack_forwarding_probability=0.6), 2),
+}
+for topo_seed, (scenario, ttl) in RANDOM_RUNS.items():
+    RUNS[f"random{topo_seed}-{scenario.kind}-ttl{ttl}"] = (
+        random_topology(topo_seed), SimConfig(duration=200.0, seed=topo_seed + 100, ttl=ttl),
+        scenario)
+
 GOLDEN = {
     "case1-stable-cap": {
         "timeseries.csv": "b0256e50e612e1269c051f441ffb944e8fbc1d60110712d4aef36470b134c8d8",
@@ -68,6 +92,36 @@ GOLDEN = {
         "timeseries.csv": "0fbb6d9172f6686761340dd2f04bfcc3a87c6971a2fd688fa9667eb3d7493af3",
         "summary.csv": "d98a5593ad683f6265e0d1fb14cb0fb16bad27e47037658f069ea7d3320cdc28",
         "accounting.csv": "ed47163583a1bf42fd94e6880d17f8f23c6ba61155160129d46c1d4bc0be1c82",
+    },
+    "random12-ddos-ttl4": {
+        "timeseries.csv": "2b19a90c5a28265d49afa9e1be365a0cb29a4fdf7c59b319b7e96c4e954c77ec",
+        "summary.csv": "4f7ff45180e957d147eda28404fe4bcf2b2f33672edcf99be1e57d1a6c276bc7",
+        "accounting.csv": "9afd803fef6b2a0901215aa5612433bca11bc32cb3c0c6a25d612c7076e50bc9",
+    },
+    "random19-dos-ttl0": {
+        "timeseries.csv": "7ffe83678bb9696c864e29c60664cb990c1697a1a346c6e3e4b98155e25a1a53",
+        "summary.csv": "e43baccbee3130f8f293065fd467fecbbe29ec0a5d7e48bcc8e380a6134b51b9",
+        "accounting.csv": "abf56ec6eee6be5d05255c135d65c295918fefcf49e698c56e5c7137d731db8f",
+    },
+    "random21-ddos-ttl2": {
+        "timeseries.csv": "f4e8f47027d30452aabbf34ec994d55db2d90dd382a74e9c96cbe270cfd1d379",
+        "summary.csv": "5e985a0b88dbf90178e1d986cda0672feb07abffd71fb6e3cae1f21170846c1f",
+        "accounting.csv": "1ec98f0474fe27947f4fecde470e8a68b8f78c5e1bcc542bb030ff54d68a2a2d",
+    },
+    "random35-stable-ttl3": {
+        "timeseries.csv": "d40cd2d93fa5b5e1229e32f83a7c0c38999e18fa3bb22cb03443770ec074e16a",
+        "summary.csv": "ac8f0b190ed8731ed3ecbce74e4910c7cfe70c4a339e87eb08d39311d363c472",
+        "accounting.csv": "30541d4ff227f9171863296a01a035bb9b90c0c03c19ce881d547149dc4fe722",
+    },
+    "random6-stable-ttl0": {
+        "timeseries.csv": "1efd3c9df5c66aa5145dada9922d1f5eefbe41745df76f54c0d9876c85808aa9",
+        "summary.csv": "6906dfbe78bafc18b283477eba01b0c7a6e79d2336fba8ac665a3362d52e5276",
+        "accounting.csv": "b2e5813c10ad41ae344bb20778b7f87872fef4be438cca1091165b676887c50d",
+    },
+    "random9-dos-ttl0": {
+        "timeseries.csv": "09d4902d2e25123b6f07fb75d836645ea7e922e84ef3f54f7fc7511326a73e2b",
+        "summary.csv": "2fd2fb8fac5a44e1c89f396d90f27b01702450c2ac0c9e57a04b3564b0fafc66",
+        "accounting.csv": "a1df7348debfd4a6832af658def8b6989e023af9f66d50a992a2d6838bb48ea9",
     },
 }
 

@@ -1,5 +1,6 @@
 import math
 from collections import defaultdict
+from dataclasses import replace
 from statistics import fmean
 
 import numpy as np
@@ -296,6 +297,17 @@ class TestRun:
         with pytest.raises(SimulationLimitError):
             run(builtin_case(2), SimConfig(duration=100.0, seed=1, event_cap=50),
                 Scenario.stable())
+
+    @pytest.mark.parametrize("scenario", [Scenario.stable(), Scenario.dos("3")],
+                             ids=["stable", "dos"])
+    def test_event_cap_is_exact(self, scenario):
+        t = builtin_case(2)
+        cfg = SimConfig(duration=60.0, seed=4)
+        full = run(t, cfg, scenario)
+        n = full.event_count
+        assert run(t, replace(cfg, event_cap=n), scenario) == full
+        with pytest.raises(SimulationLimitError, match=f"event cap {n - 1} exceeded"):
+            run(t, replace(cfg, event_cap=n - 1), scenario)
 
     def test_packet_sizes_positive_and_recorded(self, mm1_topology):
         res = run(mm1_topology, SimConfig(duration=100.0, seed=9), Scenario.stable())

@@ -24,6 +24,7 @@ from .metrics import (
     Direction,
     PowerIterationError,
     betweenness_centrality,
+    check_tie_epsilon,
     eccentricity_centrality,
     edge_betweenness,
     eigenvector_centrality,
@@ -320,6 +321,7 @@ def cmd_compare(args) -> int:
     if args.k < 1:
         print("usage error: --k must be >= 1", file=sys.stderr)
         return 2
+    check_tie_epsilon(args.tie_epsilon)  # before any run writes its files
     scenario = Scenario.from_string(args.scenario, args.attack_probability)
     manifest = _manifest_from_args(args, (scenario,))
     t = manifest.topology

@@ -196,6 +196,12 @@ class RankedClusters:
         return frozenset(out)
 
 
+def check_tie_epsilon(tie_epsilon: float) -> None:
+    """Raise ValueError unless ``tie_epsilon`` is finite and >= 0."""
+    if not (math.isfinite(tie_epsilon) and tie_epsilon >= 0):
+        raise ValueError("tie_epsilon must be finite and >= 0")
+
+
 def rank_with_ties(
     values: Mapping[Hashable, float],
     direction: Direction = Direction.HIGHER_IS_CRITICAL,
@@ -207,8 +213,7 @@ def rank_with_ties(
 
     ``subset`` restricts the ranking, e.g. to router nodes only.
     """
-    if not (math.isfinite(tie_epsilon) and tie_epsilon >= 0):
-        raise ValueError("tie_epsilon must be finite and >= 0")
+    check_tie_epsilon(tie_epsilon)
     if subset is not None:
         keys = list(subset)
         missing = [k for k in keys if k not in values]

@@ -19,7 +19,12 @@ forwarded packets, sampled every ``monitor_interval`` seconds.
 
 The event calendar is a priority queue keyed by (timestamp, insertion
 sequence); ties break by insertion order, so a run is fully deterministic
-given its seed.
+given its seed. It carries only generator, service-completion and monitor
+events. A packet's arrival at its next router is handled in the same step
+that injects or forwards it, at the same timestamp. That gives the same
+bytes as queueing the arrival on the calendar: every router draws from its
+own random stream, so handling it early can only reorder it against an
+event at exactly the same float time.
 """
 
 from __future__ import annotations
@@ -194,9 +199,14 @@ class SimResult:
         return self.interarrival_total / self.interarrival_draws if self.interarrival_draws else 0.0
 
 
-# Event kinds, in no particular priority: ties on the calendar break by
-# insertion sequence alone.
-_GEN, _ARRIVE, _COMPLETE, _MONITOR = 0, 1, 2, 3
+# Calendar event kinds, in no particular priority: ties on the calendar break
+# by insertion sequence alone. Arrivals are not calendar events.
+_GEN, _COMPLETE, _MONITOR = 0, 1, 2
+
+
+def _over_cap(cap: int, now: float) -> SimulationLimitError:
+    return SimulationLimitError(
+        f"event cap {cap} exceeded at t={now:.3f}s (raise SimConfig.event_cap to continue)")
 
 
 def run(
@@ -257,49 +267,32 @@ def run(
     for g, rng in enumerate(gen_streams):
         dt = interarrival(rng)
         inter_total += dt
-        heappush(heap, (dt, next(seq), _GEN, g, None))
+        heappush(heap, (dt, next(seq), _GEN, g))
     if config.exponential_sampling:
         for r, rng in enumerate(monitor_streams):
             heappush(heap, (sample_exponential(rng, config.monitor_interval), next(seq),
-                            _MONITOR, r, None))
+                            _MONITOR, r))
     else:
-        heappush(heap, (config.monitor_interval, next(seq), _MONITOR, None, None))
+        heappush(heap, (config.monitor_interval, next(seq), _MONITOR, None))
 
     events = 0
+    event_cap = config.event_cap
     while heap and heap[0][0] <= duration:
-        now, _, kind, node, pkt = heappop(heap)
+        now, _, kind, node = heappop(heap)
         events += 1
-        if events > config.event_cap:
-            raise SimulationLimitError(
-                f"event cap {config.event_cap} exceeded at t={now:.3f}s "
-                f"(raise SimConfig.event_cap to continue)"
-            )
+        if events > event_cap:
+            raise _over_cap(event_cap, now)
 
-        if kind == _ARRIVE:
-            p = admit[node]
-            if p is not None and router_random[node]() >= p:
-                dropped[node] += 1
-                dropped_attack += 1
-                if on_event is not None:
-                    on_event("drop_attack", now, routers[node], pkt[0])
-                continue
-            if on_event is not None:
-                on_event("arrive", now, routers[node], pkt[0])
-            queue = queues[node]
-            queue.append((pkt, now))
-            if len(queue) == 1:
-                # Inlined service draw: now - m * log1p(-u) is bit-equal to
-                # now + sample_exponential(rng, m), since -m * x == -(m * x).
-                done = now - mean_service * log1p(-router_random[node]())
-                heappush(heap, (done, next(seq), _COMPLETE, node, None))
-
-        elif kind == _COMPLETE:
+        # The _COMPLETE and _GEN branches end with a packet `pkt` bound for
+        # router `node`; its arrival is handled below the branches.
+        if kind == _COMPLETE:
             queue = queues[node]
             (pid, came_from, hop_count), arrived_at = queue.popleft()
             if ttl and hop_count >= ttl:
                 dropped_ttl += 1
                 if on_event is not None:
                     on_event("drop_ttl", now, routers[node], pid)
+                dest = sink  # dropped: it arrives nowhere
             else:
                 sojourn[node] += now - arrived_at
                 forwarded[node] += 1
@@ -312,11 +305,15 @@ def run(
                     on_event("forward", now, routers[node], pid)
                 if dest == sink:
                     delivered += 1
-                else:
-                    heappush(heap, (now, next(seq), _ARRIVE, dest, (pid, node, hop_count + 1)))
             if queue:
+                # Inlined service draw: now - m * log1p(-u) is bit-equal to
+                # now + sample_exponential(rng, m), since -m * x == -(m * x).
                 done = now - mean_service * log1p(-router_random[node]())
-                heappush(heap, (done, next(seq), _COMPLETE, node, None))
+                heappush(heap, (done, next(seq), _COMPLETE, node))
+            if dest == sink:
+                continue
+            pkt = (pid, node, hop_count + 1)
+            node = dest
 
         elif kind == _GEN:
             rng = gen_streams[node]
@@ -329,27 +326,50 @@ def run(
                 router = targets[0]
             else:
                 router = targets[int(rng.random() * len(targets))]
-            heappush(heap, (now, next(seq), _ARRIVE, router, (generated, -1, 0)))
+            pkt = (generated, -1, 0)
             generated += 1
             dt = interarrival(rng)
             inter_total += dt
-            heappush(heap, (now + dt, next(seq), _GEN, node, None))
+            heappush(heap, (now + dt, next(seq), _GEN, node))
+            node = router
 
         elif node is None:  # _MONITOR, fixed tick for every router
             for series, s, f in zip(samples, sojourn, forwarded):
                 series.append((now, s / f if f else 0.0))
-            heappush(heap, (now + config.monitor_interval, next(seq), _MONITOR, None, None))
+            heappush(heap, (now + config.monitor_interval, next(seq), _MONITOR, None))
+            continue
 
         else:  # _MONITOR, exponential gap for one router
             samples[node].append((now, delay(node)))
             gap = sample_exponential(monitor_streams[node], config.monitor_interval)
-            heappush(heap, (now + gap, next(seq), _MONITOR, node, None))
+            heappush(heap, (now + gap, next(seq), _MONITOR, node))
+            continue
 
-    # Packets still queued (including any in service) plus any unprocessed
-    # arrivals left on the calendar; counted independently so the
-    # conservation identity is a real check, not a tautology.
+        # Arrival of pkt at router node, now: one more event, drawn from the
+        # router's own stream.
+        events += 1
+        if events > event_cap:
+            raise _over_cap(event_cap, now)
+        p = admit[node]
+        if p is not None and router_random[node]() >= p:
+            dropped[node] += 1
+            dropped_attack += 1
+            if on_event is not None:
+                on_event("drop_attack", now, routers[node], pkt[0])
+            continue
+        if on_event is not None:
+            on_event("arrive", now, routers[node], pkt[0])
+        queue = queues[node]
+        queue.append((pkt, now))
+        if len(queue) == 1:
+            done = now - mean_service * log1p(-router_random[node]())
+            heappush(heap, (done, next(seq), _COMPLETE, node))
+
+    # Packets still queued, including any in service. Every arrival is handled
+    # when its packet is injected or forwarded, so none is pending; counted
+    # from the queues rather than the counters, so the conservation identity
+    # is a real check, not a tautology.
     in_flight = sum(len(q) for q in queues)
-    in_flight += sum(1 for entry in heap if entry[2] == _ARRIVE)
 
     sink_adjacent = topology.sink_adjacent_routers()
     return SimResult(

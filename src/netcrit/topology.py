@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -263,7 +263,8 @@ class ForwardingTable:
     node a, where a = -1 marks a packet injected by a generator. Candidates
     are every adjacent router plus the sink, except a; when that leaves
     nothing (a leaf router) the packet goes back to a. Generators are never
-    candidates. Built once per topology; do not mutate.
+    candidates. ``build_routing_table`` caches the last one it built, so
+    every run on the same topology shares it; do not mutate.
     """
 
     routers: tuple[str, ...]
@@ -271,8 +272,12 @@ class ForwardingTable:
     hops: tuple[dict[int, tuple[int, ...]], ...]
 
 
+@lru_cache(maxsize=1)
 def build_routing_table(t: Topology) -> ForwardingTable:
-    """Compile the topology's forwarding choices into a ForwardingTable."""
+    """Compile the topology's forwarding choices into a ForwardingTable.
+
+    Memoized on the frozen topology: repeated calls return the same table.
+    """
     routers = t.router_ids
     index = {r: i for i, r in enumerate(routers)}
     index[t.sink_id] = len(routers)

@@ -183,6 +183,14 @@ class TestCompareCommand:
         assert rc == 2
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_tie_epsilon_fails_before_any_run(self, value, tmp_path, capsys):
+        rc = run_cli("compare", "--case", "3", "--seeds", "1..2", "--duration", "10",
+                     "--tie-epsilon", value, "--out", str(tmp_path))
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: tie_epsilon must be finite")
+        assert not (tmp_path / "runs").exists()
+
 
 class TestRunManifest:
     def test_invariants(self, tmp_path):

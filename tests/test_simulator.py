@@ -123,8 +123,8 @@ class TestNextHop:
     def test_case2_router1_from_3_is_even_coin(self):
         # Router 1 forwards a packet that came from 3 either to the sink 0 or to
         # router 4. A forward to 4 is always followed by that packet's next
-        # event at 4 (the arrival lands on the calendar at the same time); a
-        # forward to the sink ends the packet's trace.
+        # event at 4 (its arrival, handled in the same step); a forward to the
+        # sink ends the packet's trace.
         trace = defaultdict(list)
 
         def on_event(kind, _t, router, pid):
@@ -242,6 +242,27 @@ class TestRun:
         res = run(t, SimConfig(duration=30.0, seed=seed), scenario)
         assert conserved(res)
 
+    @given(topologies(), st.integers(0, 2**32), st.sampled_from(["stable", "dos", "ddos"]))
+    @settings(max_examples=15, deadline=None)
+    def test_forward_is_followed_by_that_packets_arrival(self, t, seed, kind):
+        if kind == "stable":
+            scenario = Scenario.stable()
+        elif kind == "dos":
+            scenario = Scenario.dos(t.router_ids[-1], attack_forwarding_probability=0.5)
+        else:
+            scenario = Scenario.ddos(t.router_ids[:2], attack_forwarding_probability=0.5)
+        trace = []
+        run(t, SimConfig(duration=30.0, seed=seed), scenario,
+            on_event=lambda *event: trace.append(event))
+        last_seen = {pid: i for i, (_, _, _, pid) in enumerate(trace)}
+        for i, (event, now, router, pid) in enumerate(trace):
+            if event != "forward" or last_seen[pid] == i:
+                continue  # not a forward, or a forward to the sink
+            next_event, next_now, next_router, next_pid = trace[i + 1]
+            assert next_pid == pid and next_now == now
+            assert next_event in ("arrive", "drop_attack")
+            assert next_router in t.adjacency[router]
+
     def test_fifo_completion_order_matches_arrival_order(self):
         trace = defaultdict(lambda: {"arrive": [], "done": []})
 
@@ -302,7 +323,13 @@ class TestRun:
                              ids=["stable", "dos"])
     def test_event_cap_is_exact(self, scenario):
         t = builtin_case(2)
-        cfg = SimConfig(duration=60.0, seed=4)
+        arrivals = []
+        run(t, SimConfig(duration=60.0, seed=4), scenario,
+            on_event=lambda kind, now, *_: kind in ("arrive", "drop_attack")
+            and arrivals.append(now))
+        # Ending the run at an arrival makes that arrival its last event, so
+        # the cap must also be checked where arrivals are counted.
+        cfg = SimConfig(duration=arrivals[-1], seed=4)
         full = run(t, cfg, scenario)
         n = full.event_count
         assert run(t, replace(cfg, event_cap=n), scenario) == full

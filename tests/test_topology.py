@@ -194,6 +194,17 @@ class TestRoutingTable:
                     # every other candidate, in adjacency order
                     assert candidates == tuple(n for n in everyone if n != a)
 
+    def test_repeated_calls_share_one_table(self):
+        t = builtin_case(2)
+        assert build_routing_table(t) is build_routing_table(t)
+
+    def test_alternating_topologies_get_their_own_table(self):
+        t2, t3 = builtin_case(2), builtin_case(3)
+        for t in (t2, t3, t2, t3):
+            table = build_routing_table(t)
+            assert table.routers == t.router_ids
+            assert table == build_routing_table.__wrapped__(t)
+
     @given(topologies())
     def test_generators_never_forwarding_targets(self, t):
         table = build_routing_table(t)

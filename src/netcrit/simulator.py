@@ -239,10 +239,10 @@ def run(
     monitor_streams = ([stream(config.seed, "monitor", r) for r in routers]
                        if config.exponential_sampling else [])
 
-    # Per-router state. A queue holds (packet, arrival time) pairs, with the
-    # packet in service at its head, so a router is busy exactly when its
-    # queue is non-empty. A packet is an (id, arrival link, hops) tuple; the
-    # arrival link is -1 for a packet its generator just injected.
+    # Per-router state. A queue holds one (packet id, arrival link, hops,
+    # arrival time) tuple per packet, with the packet in service at its head,
+    # so a router is busy exactly when its queue is non-empty. The arrival
+    # link is -1 for a packet its generator just injected.
     queues = [deque() for _ in routers]
     forwarded = [0] * len(routers)
     sojourn = [0.0] * len(routers)
@@ -283,11 +283,11 @@ def run(
         if events > event_cap:
             raise _over_cap(event_cap, now)
 
-        # The _COMPLETE and _GEN branches end with a packet `pkt` bound for
+        # The _COMPLETE and _GEN branches end with packet `pid` bound for
         # router `node`; its arrival is handled below the branches.
         if kind == _COMPLETE:
             queue = queues[node]
-            (pid, came_from, hop_count), arrived_at = queue.popleft()
+            pid, came_from, hop_count, arrived_at = queue.popleft()
             if ttl and hop_count >= ttl:
                 dropped_ttl += 1
                 if on_event is not None:
@@ -312,8 +312,7 @@ def run(
                 heappush(heap, (done, next(seq), _COMPLETE, node))
             if dest == sink:
                 continue
-            pkt = (pid, node, hop_count + 1)
-            node = dest
+            came_from, node, hop_count = node, dest, hop_count + 1
 
         elif kind == _GEN:
             rng = gen_streams[node]
@@ -326,7 +325,7 @@ def run(
                 router = targets[0]
             else:
                 router = targets[int(rng.random() * len(targets))]
-            pkt = (generated, -1, 0)
+            pid, came_from, hop_count = generated, -1, 0
             generated += 1
             dt = interarrival(rng)
             inter_total += dt
@@ -345,8 +344,8 @@ def run(
             heappush(heap, (now + gap, next(seq), _MONITOR, node))
             continue
 
-        # Arrival of pkt at router node, now: one more event, drawn from the
-        # router's own stream.
+        # Arrival of packet pid at router node, now: one more event, drawn
+        # from the router's own stream.
         events += 1
         if events > event_cap:
             raise _over_cap(event_cap, now)
@@ -355,20 +354,19 @@ def run(
             dropped[node] += 1
             dropped_attack += 1
             if on_event is not None:
-                on_event("drop_attack", now, routers[node], pkt[0])
+                on_event("drop_attack", now, routers[node], pid)
             continue
         if on_event is not None:
-            on_event("arrive", now, routers[node], pkt[0])
+            on_event("arrive", now, routers[node], pid)
         queue = queues[node]
-        queue.append((pkt, now))
+        queue.append((pid, came_from, hop_count, now))
         if len(queue) == 1:
             done = now - mean_service * log1p(-router_random[node]())
             heappush(heap, (done, next(seq), _COMPLETE, node))
 
-    # Packets still queued, including any in service. Every arrival is handled
-    # when its packet is injected or forwarded, so none is pending; counted
-    # from the queues rather than the counters, so the conservation identity
-    # is a real check, not a tautology.
+    # Packets still queued, including any in service; no arrival is ever left
+    # pending. Counted from the queues, not the counters, so the conservation
+    # identity is a real check, not a tautology.
     in_flight = sum(len(q) for q in queues)
 
     sink_adjacent = topology.sink_adjacent_routers()

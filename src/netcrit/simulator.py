@@ -344,8 +344,8 @@ def run(
             heappush(heap, (now + gap, next(seq), _MONITOR, node))
             continue
 
-        # Arrival of packet pid at router node, now: one more event, drawn
-        # from the router's own stream.
+        # Arrival of packet pid at router node, now. It counts as an event,
+        # and its draws come from that router's own stream.
         events += 1
         if events > event_cap:
             raise _over_cap(event_cap, now)

@@ -324,9 +324,12 @@ class TestRun:
     def test_event_cap_is_exact(self, scenario):
         t = builtin_case(2)
         arrivals = []
-        run(t, SimConfig(duration=60.0, seed=4), scenario,
-            on_event=lambda kind, now, *_: kind in ("arrive", "drop_attack")
-            and arrivals.append(now))
+
+        def on_event(kind, now, _router, _pid):
+            if kind in ("arrive", "drop_attack"):
+                arrivals.append(now)
+
+        run(t, SimConfig(duration=60.0, seed=4), scenario, on_event=on_event)
         # Ending the run at an arrival makes that arrival its last event, so
         # the cap must also be checked where arrivals are counted.
         cfg = SimConfig(duration=arrivals[-1], seed=4)

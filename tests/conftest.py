@@ -28,8 +28,14 @@ def make_random_topology(
     max_routers: int = 6,
     max_generators: int = 3,
     extra_edge_prob: float = 0.35,
+    multihome_prob: float = 0.0,
 ) -> Topology:
-    """Random valid topology: connected router core, one sink, some generators."""
+    """Random valid topology: connected router core, one sink, some generators.
+
+    With probability ``multihome_prob`` a generator also links to a second,
+    distinct router. ``rng`` is drawn for that only when the probability is
+    above 0, so every seed builds the same topology at the default.
+    """
     n_routers = rng.randint(1, max_routers)
     routers = [f"r{i}" for i in range(n_routers)]
     edges: list[tuple[str, str]] = []
@@ -46,7 +52,10 @@ def make_random_topology(
     n_gens = rng.randint(1, max_generators)
     gens = [f"g{i}" for i in range(n_gens)]
     for g in gens:
-        edges.append((g, routers[rng.randrange(n_routers)]))
+        first = routers[rng.randrange(n_routers)]
+        edges.append((g, first))
+        if multihome_prob > 0 and n_routers > 1 and rng.random() < multihome_prob:
+            edges.append((g, rng.choice([r for r in routers if r != first])))
     t = Topology(
         name="random",
         nodes=tuple(
@@ -61,6 +70,8 @@ def make_random_topology(
 
 
 @st.composite
-def topologies(draw, max_routers: int = 6, max_generators: int = 3):
+def topologies(draw, max_routers: int = 6, max_generators: int = 3,
+               multihome_prob: float = 0.0):
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
-    return make_random_topology(random.Random(seed), max_routers, max_generators)
+    return make_random_topology(random.Random(seed), max_routers, max_generators,
+                                multihome_prob=multihome_prob)

@@ -3,10 +3,11 @@
 The runs cover the kernel branches the default configuration never takes:
 a hop budget, exponential monitor sampling, truncated inter-arrivals, DDoS,
 an attack whose admit probability is 1.0 (an admission draw still happens
-on every arrival), and a generator linked to two routers. Six seeded random
+on every arrival), and a generator linked to two routers. Seven seeded random
 topologies add leaf routers that send packets back, routers fed by several
-generators, and every scenario kind with and without a hop budget. Any change
-to the order or the conditions of the random draws changes these digests.
+generators, generators linked to two routers, and every scenario kind with and
+without a hop budget. Any change to the order or the conditions of the random
+draws changes these digests.
 
 It also pins the files and stdout of the metrics command on every built-in
 case and on an 80-router chorded ring, and of the case-study and DoS-sweep
@@ -48,8 +49,8 @@ RUNS = {
 }
 
 
-def random_topology(seed: int):
-    return lambda: make_random_topology(random.Random(seed))
+def random_topology(seed: int, multihome_prob: float = 0.0):
+    return lambda: make_random_topology(random.Random(seed), multihome_prob=multihome_prob)
 
 
 # Topology seed -> scenario and hop budget. Seeds 6, 12, 19 and 35 have leaf
@@ -66,6 +67,11 @@ for topo_seed, (scenario, ttl) in RANDOM_RUNS.items():
     RUNS[f"random{topo_seed}-{scenario.kind}-ttl{ttl}"] = (
         random_topology(topo_seed), SimConfig(duration=200.0, seed=topo_seed + 100, ttl=ttl),
         scenario)
+# At multihome_prob 0.5, topology seed 20 links both of its generators to two
+# routers each, so every injection takes the generator's routing draw.
+RUNS["random20-multihome-dos-ttl0"] = (
+    random_topology(20, multihome_prob=0.5), SimConfig(duration=200.0, seed=120),
+    Scenario.dos("r3", attack_forwarding_probability=0.4))
 
 GOLDEN = {
     "case1-stable-cap": {
@@ -107,6 +113,11 @@ GOLDEN = {
         "timeseries.csv": "f4e8f47027d30452aabbf34ec994d55db2d90dd382a74e9c96cbe270cfd1d379",
         "summary.csv": "5e985a0b88dbf90178e1d986cda0672feb07abffd71fb6e3cae1f21170846c1f",
         "accounting.csv": "1ec98f0474fe27947f4fecde470e8a68b8f78c5e1bcc542bb030ff54d68a2a2d",
+    },
+    "random20-multihome-dos-ttl0": {
+        "timeseries.csv": "3b92b05f1a15500784aca9fd1d000fa39f9fccf54a8097a2541e615683412186",
+        "summary.csv": "af473c27490fa8bad92928f1cd2635bcc11b0197a239db285d5737ab014c1356",
+        "accounting.csv": "90b9e11673cb3ff8eff1c9cf3f350e25841d9314e43d9713a1634c8263488302",
     },
     "random35-stable-ttl3": {
         "timeseries.csv": "d40cd2d93fa5b5e1229e32f83a7c0c38999e18fa3bb22cb03443770ec074e16a",

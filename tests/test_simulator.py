@@ -230,7 +230,8 @@ class TestRun:
         assert {r for r, s in res.routers.items() if s.sink_adjacent} == {"1", "2"}
         assert res.dropped_by_attack > 0
 
-    @given(topologies(), st.integers(0, 2**32), st.sampled_from(["stable", "dos", "ddos"]))
+    @given(topologies(multihome_prob=0.5), st.integers(0, 2**32),
+           st.sampled_from(["stable", "dos", "ddos"]))
     @settings(max_examples=15, deadline=None)
     def test_conservation_random_topologies(self, t, seed, kind):
         if kind == "stable":
@@ -242,7 +243,8 @@ class TestRun:
         res = run(t, SimConfig(duration=30.0, seed=seed), scenario)
         assert conserved(res)
 
-    @given(topologies(), st.integers(0, 2**32), st.sampled_from(["stable", "dos", "ddos"]))
+    @given(topologies(multihome_prob=0.5), st.integers(0, 2**32),
+           st.sampled_from(["stable", "dos", "ddos"]))
     @settings(max_examples=15, deadline=None)
     def test_forward_is_followed_by_that_packets_arrival(self, t, seed, kind):
         if kind == "stable":

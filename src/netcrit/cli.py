@@ -30,7 +30,7 @@ from .metrics import (
     eigenvector_centrality,
     rank_with_ties,
 )
-from .simulator import Scenario, SimConfig, SimulationLimitError, run
+from .simulator import Scenario, SimConfig, SimulationLimitError, check_monitor_samples, run
 from .topology import (
     BUILTIN_CASE_IDS,
     NodeRole,
@@ -250,6 +250,7 @@ class RunManifest:
             missing = [r for r in scenario.targets if r not in routers]
             if missing:
                 raise ValueError(f"scenario targets unknown routers: {', '.join(missing)}")
+        check_monitor_samples(len(routers), self.config_for(self.seeds[0]))
 
     def config_for(self, seed: int) -> SimConfig:
         return SimConfig(

@@ -7,6 +7,7 @@ runs produce byte-identical output.
 from __future__ import annotations
 
 import csv
+from array import array
 from pathlib import Path
 from typing import Collection, Mapping, Sequence
 
@@ -110,39 +111,39 @@ def write_timeseries(path: str | Path, result: SimResult) -> None:
     """One row per sample, byte for byte what ``csv.writer`` and ``_fmt`` write.
 
     Rows are built as plain strings, which is safe because router ids match
-    ``[A-Za-z0-9_]+`` and ``repr`` of a float never needs quoting. Each
-    distinct sample time is formatted once (fixed-tick times repeat across
-    routers) and a router's delay only when it changes. Zeros are never
-    reused, since ``0.0 == -0.0`` but their text differs. Each router's rows
-    go out in one ``write``.
+    ``[A-Za-z0-9_]+`` and ``repr`` of a float never needs quoting. A time
+    column is formatted once per column object, so the fixed tick's shared
+    column is formatted once for all routers. A router's delay is formatted
+    only when it changes; a zero delay never reuses the previous text, since
+    ``0.0 == -0.0`` but their text differs. Each router's rows go out in one
+    ``write``.
     """
-    time_text: dict[float, str] = {}
+    last_times = time_text = None
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(TIMESERIES_COLUMNS) + "\n")
-        for router, series in result.samples.items():
+        for router, (times, delays) in result.samples.items():
+            if times is not last_times:
+                last_times = times
+                time_text = [f",{t!r}," for t in times]
             lines = []
             append = lines.append
             last = None
-            for time_s, delay_s in series:
-                tt = time_text.get(time_s)
-                if tt is None:
-                    tt = f",{float(time_s)!r},"
-                    if time_s:
-                        time_text[time_s] = tt
+            for tt, delay_s in zip(time_text, delays):
                 if delay_s != last or not delay_s:
                     last = delay_s
-                    dt = f"{float(delay_s)!r}\n"
+                    dt = f"{delay_s!r}\n"
                 append(f"{router}{tt}{dt}")
             handle.write("".join(lines))
 
 
-def read_timeseries(path: str | Path) -> dict[str, list[tuple[float, float]]]:
-    out: dict[str, list[tuple[float, float]]] = {}
+def read_timeseries(path: str | Path) -> dict[str, tuple[array, array]]:
+    """``{router: (times, delays)}``, two ``array('d')`` columns per router."""
+    out: dict[str, tuple[array, array]] = {}
     with Path(path).open(encoding="utf-8", newline="") as handle:
         for rec in csv.DictReader(handle):
-            out.setdefault(rec["router_id"], []).append(
-                (float(rec["time_s"]), float(rec["delay_s"]))
-            )
+            times, delays = out.setdefault(rec["router_id"], (array("d"), array("d")))
+            times.append(float(rec["time_s"]))
+            delays.append(float(rec["delay_s"]))
     return out
 
 

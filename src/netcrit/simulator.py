@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -42,6 +43,11 @@ from .topology import Topology, build_routing_table, natural_key
 
 class SimulationLimitError(RuntimeError):
     """The event budget was exhausted before the configured duration elapsed."""
+
+
+# Most monitor samples one run may hold: 8 bytes of delay each, so about
+# 400 MB. Checked before a run starts, never by allocating.
+MAX_MONITOR_SAMPLES = 50_000_000
 
 
 def sample_exponential(rng, mean: float) -> float:
@@ -165,9 +171,29 @@ class RouterSummary:
     sink_adjacent: bool
 
 
+def check_monitor_samples(routers: int, config: SimConfig) -> None:
+    """Reject a run that would hold more than ``MAX_MONITOR_SAMPLES`` samples.
+
+    A run samples each router about duration / monitor_interval times; with
+    exponential sampling that is the expected count.
+    """
+    ticks = config.duration / config.monitor_interval  # inf only on overflow
+    count = routers * (math.floor(ticks) if math.isfinite(ticks) else ticks)
+    if count > MAX_MONITOR_SAMPLES:
+        raise ValueError(
+            f"run would hold {count:,} monitor samples ({routers} routers x "
+            f"duration / monitor_interval), over the cap of {MAX_MONITOR_SAMPLES:,}; "
+            "shorten the duration or lengthen the monitor interval")
+
+
 @dataclass
 class SimResult:
     """Outcome of one run: delay time series, per-router stats, accounting.
+
+    ``samples`` maps each router to two ``array('d')`` columns of equal
+    length, ``(times, delays)``: the monitor's sample times and the router's
+    running mean sojourn at each. On the fixed tick every router's ``times``
+    is one shared array; with exponential sampling each router has its own.
 
     The packet accounting satisfies
     generated == delivered_to_sink + dropped_by_attack + dropped_by_ttl +
@@ -178,7 +204,7 @@ class SimResult:
     scenario: Scenario
     seed: int
     duration: float
-    samples: dict[str, list[tuple[float, float]]]
+    samples: dict[str, tuple[array, array]]
     routers: dict[str, RouterSummary]
     generated: int
     delivered_to_sink: int
@@ -223,6 +249,7 @@ def run(
     """
     table = build_routing_table(topology)
     routers, sink, hops = table.routers, table.sink, table.hops
+    check_monitor_samples(len(routers), config)
     index = {r: i for i, r in enumerate(routers)}
     unknown = [t for t in scenario.targets if t not in index]
     if unknown:
@@ -247,7 +274,11 @@ def run(
     forwarded = [0] * len(routers)
     sojourn = [0.0] * len(routers)
     dropped = [0] * len(routers)
-    samples = [[] for _ in routers]
+    # Monitor columns: one shared time column on the fixed tick.
+    tick_times = array("d")
+    times = ([array("d") for _ in routers] if config.exponential_sampling
+             else [tick_times] * len(routers))
+    delays = [array("d") for _ in routers]
 
     heap: list[tuple] = []
     seq = itertools.count()
@@ -333,13 +364,15 @@ def run(
             node = router
 
         elif node is None:  # _MONITOR, fixed tick for every router
-            for series, s, f in zip(samples, sojourn, forwarded):
-                series.append((now, s / f if f else 0.0))
+            tick_times.append(now)
+            for column, s, f in zip(delays, sojourn, forwarded):
+                column.append(s / f if f else 0.0)
             heappush(heap, (now + config.monitor_interval, next(seq), _MONITOR, None))
             continue
 
         else:  # _MONITOR, exponential gap for one router
-            samples[node].append((now, delay(node)))
+            times[node].append(now)
+            delays[node].append(delay(node))
             gap = sample_exponential(monitor_streams[node], config.monitor_interval)
             heappush(heap, (now + gap, next(seq), _MONITOR, node))
             continue
@@ -375,7 +408,7 @@ def run(
         scenario=scenario,
         seed=config.seed,
         duration=duration,
-        samples=dict(zip(routers, samples)),
+        samples=dict(zip(routers, zip(times, delays))),
         routers={r: RouterSummary(final_delay=delay(i), forwarded=forwarded[i],
                                   dropped_attack=dropped[i], attacked=admit[i] is not None,
                                   sink_adjacent=r in sink_adjacent)

@@ -1,3 +1,5 @@
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,7 +40,7 @@ def fake_result(t, delays, seed=0):
     }
     return SimResult(
         topology_name=t.name, scenario=Scenario.stable(), seed=seed, duration=1.0,
-        samples={r: [] for r in t.router_ids}, routers=routers,
+        samples={r: (array("d"), array("d")) for r in t.router_ids}, routers=routers,
         generated=0, delivered_to_sink=0, dropped_by_attack=0, dropped_by_ttl=0,
         in_flight_at_end=0, event_count=0, generated_size_total=0.0,
         interarrival_total=0.0, interarrival_draws=0,

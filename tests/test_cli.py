@@ -5,7 +5,7 @@ import pytest
 
 from netcrit import cli, reports
 from netcrit.cli import MAX_SEEDS, RunManifest, main
-from netcrit.simulator import Scenario
+from netcrit.simulator import MAX_MONITOR_SAMPLES, Scenario
 from netcrit.topology import builtin_case, serialize_topology
 
 
@@ -150,7 +150,15 @@ class TestSimulateCommand:
                        "--seeds", "2", "--duration", "30", "--out", str(tmp_path)) == 0
         series = reports.read_timeseries(tmp_path / "runs" / "stable" / "2" / "timeseries.csv")
         assert set(series) == {"1", "2", "6", "10", "14"}
-        assert all(len(v) > 0 for v in series.values())
+        assert all(len(times) == len(delays) > 0 for times, delays in series.values())
+
+    def test_too_many_monitor_samples_fails_before_any_run(self, tmp_path, capsys):
+        rc = run_cli("simulate", "--case", "3", "--duration", "1e12", "--out", str(tmp_path))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: run would hold 10,000,000,000,000 monitor samples")
+        assert f"cap of {MAX_MONITOR_SAMPLES:,}" in err
+        assert not (tmp_path / "runs").exists()
 
 
 class TestCompareCommand:
@@ -206,6 +214,8 @@ class TestRunManifest:
             RunManifest(**{**good, "seeds": (1, 1)})
         with pytest.raises(ValueError, match="unknown routers"):
             RunManifest(**{**good, "scenarios": (Scenario.dos("99"),)})
+        with pytest.raises(ValueError, match="monitor samples"):
+            RunManifest(**{**good, "duration": 1e12})
         for bad in ((1, -1), (2**64,)):
             with pytest.raises(ValueError, match="unsigned 64-bit"):
                 RunManifest(**{**good, "seeds": bad})

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import math
+from array import array
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,8 +20,24 @@ BASE = run(parse_topology(MM1_TEXT, name="mm1"), SimConfig(duration=5.0, seed=1)
 SPECIAL = [0.0, -0.0, 5e-324, 1e-05, 1e16, math.inf, 0.5]
 floats = st.one_of(st.sampled_from(SPECIAL), st.floats())
 router_ids = st.from_regex(r"[A-Za-z0-9_]+", fullmatch=True)
-samples = st.dictionaries(router_ids, st.lists(st.tuples(floats, floats), max_size=40),
-                          max_size=5)
+
+
+def columns(pairs):
+    return array("d", [t for t, _ in pairs]), array("d", [d for _, d in pairs])
+
+
+# Each router with its own time column, as under exponential sampling.
+own_columns = st.dictionaries(
+    router_ids, st.lists(st.tuples(floats, floats), max_size=40).map(columns), max_size=5)
+
+
+@st.composite
+def shared_columns(draw):
+    """Every router on one time column object, as on the fixed tick."""
+    times = array("d", draw(st.lists(floats, max_size=40)))
+    delays = st.lists(floats, min_size=len(times), max_size=len(times))
+    return {router: (times, array("d", d))
+            for router, d in draw(st.dictionaries(router_ids, delays, max_size=5)).items()}
 
 
 def reference_text(samples) -> str:
@@ -28,15 +45,20 @@ def reference_text(samples) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(reports.TIMESERIES_COLUMNS)
-    for router, series in samples.items():
-        for time_s, delay_s in series:
+    for router, (times, delays) in samples.items():
+        for time_s, delay_s in zip(times, delays):
             w.writerow([router, repr(float(time_s)), repr(float(delay_s))])
     return buf.getvalue()
 
 
-@given(samples)
-@example({"r1": [(0.0, 0.0), (-0.0, -0.0), (0.0, 0.0), (1.0, -0.0)],
-          "r2": [(-0.0, 1.0), (0.0, 1.0), (math.nan, math.nan), (math.nan, math.nan)]})
+SHARED_ZEROS = array("d", [0.0, -0.0, 0.0, 1.0])
+
+
+@given(st.one_of(own_columns, shared_columns()))
+@example({"r1": columns([(0.0, 0.0), (-0.0, -0.0), (0.0, 0.0), (1.0, -0.0)]),
+          "r2": columns([(-0.0, 1.0), (0.0, 1.0), (math.nan, math.nan), (math.nan, math.nan)])})
+@example({"r1": (SHARED_ZEROS, array("d", [0.0, -0.0, -0.0, 0.0])),
+          "r2": (SHARED_ZEROS, array("d", [math.nan, 1.0, 1.0, -0.0]))})
 @settings(max_examples=200)
 def test_write_timeseries_matches_csv_writer(tmp_path_factory, samples):
     path = tmp_path_factory.mktemp("ts") / "timeseries.csv"
@@ -47,4 +69,6 @@ def test_write_timeseries_matches_csv_writer(tmp_path_factory, samples):
 def test_real_run_reads_back_exactly(tmp_path):
     path = tmp_path / "timeseries.csv"
     reports.write_timeseries(path, BASE)
-    assert reports.read_timeseries(path) == BASE.samples
+    back = reports.read_timeseries(path)
+    assert back == BASE.samples
+    assert all(column.typecode == "d" for columns in back.values() for column in columns)

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 from collections import defaultdict
 from dataclasses import replace
 from statistics import fmean
@@ -11,9 +13,11 @@ from hypothesis import strategies as st
 from conftest import topologies
 from netcrit.rng import _CHUNK, stream, substream_seed
 from netcrit.simulator import (
+    MAX_MONITOR_SAMPLES,
     Scenario,
     SimConfig,
     SimulationLimitError,
+    check_monitor_samples,
     run,
     sample_exponential,
 )
@@ -283,15 +287,52 @@ class TestRun:
 
     def test_monitor_samples_run_on_schedule(self, mm1_topology):
         res = run(mm1_topology, SimConfig(duration=10.0, seed=1), Scenario.stable())
-        times = [t for t, _ in res.samples["R"]]
-        assert times == pytest.approx([0.5 * i for i in range(1, 21)])
+        times, delays = res.samples["R"]
+        assert list(times) == pytest.approx([0.5 * i for i in range(1, 21)])
+        assert len(delays) == len(times)
 
     def test_exponential_sampling_mode(self, mm1_topology):
         cfg = SimConfig(duration=50.0, seed=1, exponential_sampling=True)
         res = run(mm1_topology, cfg, Scenario.stable())
-        times = [t for t, _ in res.samples["R"]]
-        assert len(times) > 10
+        times, delays = res.samples["R"]
+        assert len(times) == len(delays) > 10
         assert any(abs(t / 0.5 - round(t / 0.5)) > 1e-6 for t in times)
+
+    def test_monitor_samples_are_float_columns(self):
+        t, config = builtin_case(1), SimConfig(duration=400.0, seed=3)
+        run(t, config, Scenario.stable())  # warm-up: imports, routing-table memo
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = run(t, config, Scenario.stable())
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        count = sum(len(delays) for _, delays in res.samples.values())
+        assert count == 18 * 800
+        assert held <= 16 * count
+        tick = res.samples["1"][0]
+        assert all(times is tick for times, _ in res.samples.values())
+        exp = run(builtin_case(2), SimConfig(duration=50.0, seed=3, exponential_sampling=True),
+                  Scenario.stable())
+        assert len({id(times) for times, _ in exp.samples.values()}) == len(exp.samples) == 14
+
+    def test_monitor_sample_cap(self):
+        t = builtin_case(3)  # 5 routers
+        at_cap = MAX_MONITOR_SAMPLES // 5 * 0.5  # duration for exactly the cap at 0.5 s
+        for sampling in (False, True):
+            check_monitor_samples(5, SimConfig(duration=at_cap, exponential_sampling=sampling))
+            over = SimConfig(duration=at_cap + 0.5, exponential_sampling=sampling)
+            count = 5 * (MAX_MONITOR_SAMPLES // 5 + 1)
+            with pytest.raises(ValueError, match=f"hold {count:,} monitor samples"):
+                check_monitor_samples(5, over)
+            with pytest.raises(ValueError, match="monitor samples"):
+                run(t, over, Scenario.stable())
+        huge = SimConfig(duration=1e300, monitor_interval=1e-300)  # ratio overflows
+        with pytest.raises(ValueError, match="hold inf monitor samples"):
+            check_monitor_samples(1, huge)
 
     def test_size_and_interarrival_calibration(self):
         res = run(builtin_case(2), SimConfig(duration=1500.0, seed=17), Scenario.stable())

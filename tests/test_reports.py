@@ -55,8 +55,9 @@ SHARED_ZEROS = array("d", [0.0, -0.0, 0.0, 1.0])
 
 
 @given(st.one_of(own_columns, shared_columns()))
+# r2's time column equals r1's by value but not in the sign of its zeros.
 @example({"r1": columns([(0.0, 0.0), (-0.0, -0.0), (0.0, 0.0), (1.0, -0.0)]),
-          "r2": columns([(-0.0, 1.0), (0.0, 1.0), (math.nan, math.nan), (math.nan, math.nan)])})
+          "r2": columns([(-0.0, 1.0), (0.0, 1.0), (-0.0, math.nan), (1.0, math.nan)])})
 @example({"r1": (SHARED_ZEROS, array("d", [0.0, -0.0, -0.0, 0.0])),
           "r2": (SHARED_ZEROS, array("d", [math.nan, 1.0, 1.0, -0.0]))})
 @settings(max_examples=200)

@@ -322,10 +322,10 @@ class TestRun:
     def test_monitor_sample_cap(self):
         t = builtin_case(3)  # 5 routers
         at_cap = MAX_MONITOR_SAMPLES // 5 * 0.5  # duration for exactly the cap at 0.5 s
+        count = 5 * (MAX_MONITOR_SAMPLES // 5 + 1)  # one tick more
         for sampling in (False, True):
             check_monitor_samples(5, SimConfig(duration=at_cap, exponential_sampling=sampling))
             over = SimConfig(duration=at_cap + 0.5, exponential_sampling=sampling)
-            count = 5 * (MAX_MONITOR_SAMPLES // 5 + 1)
             with pytest.raises(ValueError, match=f"hold {count:,} monitor samples"):
                 check_monitor_samples(5, over)
             with pytest.raises(ValueError, match="monitor samples"):

@@ -42,6 +42,9 @@ RUNS = {
     "case1-stable-cap": (lambda: builtin_case(1),
                          SimConfig(duration=30.0, seed=2, interarrival_cap=1.0),
                          Scenario.stable()),
+    "case2-dos": (lambda: builtin_case(2), SimConfig(duration=40.0, seed=5), Scenario.dos("3")),
+    "case1-stable": (lambda: builtin_case(1), SimConfig(duration=30.0, seed=2),
+                     Scenario.stable()),
     "case2-ddos": (lambda: builtin_case(2), SimConfig(duration=60.0, seed=3),
                    Scenario.ddos(["2", "6"], attack_forwarding_probability=0.3)),
     "twohomed-dos-p1": (lambda: TWO_HOMED, SimConfig(duration=60.0, seed=8),
@@ -74,6 +77,11 @@ RUNS["random20-multihome-dos-ttl0"] = (
     Scenario.dos("r3", attack_forwarding_probability=0.4))
 
 GOLDEN = {
+    "case1-stable": {
+        "timeseries.csv": "65d7c4e7f0ffc48aecae4707a19453441e4a6ee80f5632db820aac5b3fba5880",
+        "summary.csv": "94f422e4807ebfafc9cb4605ce4f9b79e347ebafa794680f42ef96d2b16e168c",
+        "accounting.csv": "07d071c2d99baa26abee85ccf47d1da22ed94a02730b7e778cde5036f9d23174",
+    },
     "case1-stable-cap": {
         "timeseries.csv": "b0256e50e612e1269c051f441ffb944e8fbc1d60110712d4aef36470b134c8d8",
         "summary.csv": "e4c75063a253b8543de34ae52693318949ebac8f790956313c369a92ea59e540",
@@ -83,6 +91,11 @@ GOLDEN = {
         "timeseries.csv": "a9fabf66bd18470c959bf4fb58862d10f47a315da0b04664ddd05db052321187",
         "summary.csv": "d94a7f9097c020074bc1b5f1e49b8223790e8dcaffcea2c08363c2dcf296d028",
         "accounting.csv": "ae09fe5c81f0aad499e7059cbb7a634b3e98ced0bc4a03d5c1e59a6103290a89",
+    },
+    "case2-dos": {
+        "timeseries.csv": "2c9d1278973747c93ea84a01035208cca0b199fa24eceefe2bf68994866c11c0",
+        "summary.csv": "10d868ceebe4a12c9f2bff0dfcf8ac91e28b2b55233d4a7e5b8265a8aefd2e06",
+        "accounting.csv": "8da9c52d214755c30ce2f8c09fabc99e50c40bed64eacb89888744bafbd0de91",
     },
     "case2-dos-expsampling": {
         "timeseries.csv": "f734c1be265a57213f3d8ca78b17f180fcb09a01695148095a18f37e66af5994",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import fmean, median
+from statistics import fmean
 from typing import Iterable, Mapping, Sequence
 
 from .metrics import Direction, RankedClusters, rank_with_ties
@@ -25,16 +25,14 @@ EXCLUDED_SINK_ADJACENT = "adjacent to sink"
 
 @dataclass(frozen=True)
 class DelayRanking:
-    """Tie-clustered ranking of routers by final delay, highest first.
+    """Tie-clustered ranking of routers by mean final delay, highest first.
 
     ``excluded`` maps each left-out router to the reason ("adjacent to
-    sink"); excluded routers never appear in the clusters. ``k`` is the
-    default report depth for top-k listings.
+    sink"); excluded routers never appear in the clusters.
     """
 
     clusters: RankedClusters
     excluded: Mapping[str, str]
-    k: int = 3
 
 
 @dataclass(frozen=True)
@@ -48,47 +46,49 @@ class RankingComparison:
     delay_topk: tuple[str, ...]
 
 
+def _check_k(k: int, universe_size: int) -> None:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k > universe_size:
+        raise ValueError(f"k={k} larger than ranked universe ({universe_size} routers)")
+
+
+def ranked_universe(t: Topology, k: int = 1) -> list[str]:
+    """Routers a delay ranking of ``t`` covers, in declaration order: every
+    router not linked to the sink.
+
+    Raises ValueError if there are none, or fewer than ``k``. The universe
+    depends only on the topology, so a campaign can check it before any run.
+    """
+    excluded = t.sink_adjacent_routers()
+    universe = [router for router in t.router_ids if router not in excluded]
+    if not universe:
+        raise ValueError("every router is sink-adjacent; nothing to rank")
+    _check_k(k, len(universe))
+    return universe
+
+
 def rank_by_delay(
-    results: Sequence[SimResult],
-    t: Topology,
-    k: int = 3,
-    tie_epsilon: float = 1e-9,
-    aggregate: str = "mean",
+    results: Sequence[SimResult], t: Topology, tie_epsilon: float = 1e-9
 ) -> DelayRanking:
-    """Rank routers by final delay aggregated across seeds (mean by default).
+    """Rank routers by final delay averaged across seeds.
 
     All results must come from the same topology ``t``. Sink-adjacent
     routers are excluded before ranking.
     """
     if not results:
         raise ValueError("need at least one simulation result")
-    if k < 1:
-        raise ValueError("k must be >= 1")
     expected = set(t.router_ids)
     for r in results:
         if r.topology_name != t.name or set(r.routers) != expected:
             raise ValueError(
                 f"result for topology '{r.topology_name}' does not match '{t.name}'"
             )
-    if aggregate == "mean":
-        agg = fmean
-    elif aggregate == "median":
-        agg = median
-    else:
-        raise ValueError(f"unknown aggregate '{aggregate}' (mean | median)")
-
-    delays = {
-        router: agg([res.routers[router].final_delay for res in results])
-        for router in t.router_ids
-    }
+    universe = ranked_universe(t)
+    clusters = rank_with_ties(mean_final_delays(results, universe),
+                              Direction.HIGHER_IS_CRITICAL, tie_epsilon)
     excluded = {router: EXCLUDED_SINK_ADJACENT for router in t.sink_adjacent_routers()}
-    ranked_ids = [router for router in t.router_ids if router not in excluded]
-    if not ranked_ids:
-        raise ValueError("every router is sink-adjacent; nothing to rank")
-    clusters = rank_with_ties(
-        delays, Direction.HIGHER_IS_CRITICAL, tie_epsilon, subset=ranked_ids
-    )
-    return DelayRanking(clusters=clusters, excluded=excluded, k=k)
+    return DelayRanking(clusters=clusters, excluded=excluded)
 
 
 def mean_final_delays(runs: Sequence[SimResult], routers: Iterable[str]) -> dict[str, float]:
@@ -230,10 +230,7 @@ def compare_rankings(
             "rankings cover different universes: "
             f"{sorted(metric_ranks.all_members(), key=str)} vs {sorted(universe, key=str)}"
         )
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > len(universe):
-        raise ValueError(f"k={k} larger than ranked universe ({len(universe)} routers)")
+    _check_k(k, len(universe))
     return RankingComparison(
         k=k,
         overlap=overlap_at_k(metric_ranks, delay_rank.clusters, k),

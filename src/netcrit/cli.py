@@ -19,7 +19,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import reports
-from .analysis import compare_rankings, mean_final_delays, outage_impacts, rank_by_delay
+from .analysis import (
+    compare_rankings,
+    mean_final_delays,
+    outage_impacts,
+    rank_by_delay,
+    ranked_universe,
+)
 from .metrics import (
     Direction,
     PowerIterationError,
@@ -65,13 +71,14 @@ def _add_sim_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seeds", "--seed", dest="seeds", default="0",
                    help="comma-separated list or inclusive range a..b (default: 0)")
     p.add_argument("--duration", type=float, required=True, help="simulated seconds")
-    p.add_argument("--mean-packet-size", type=float, default=100.0)
-    p.add_argument("--mean-interarrival", type=float, default=2.0)
-    p.add_argument("--service-rate", type=float, default=2.2,
+    p.add_argument("--mean-packet-size", type=float, default=SimConfig.mean_packet_size)
+    p.add_argument("--mean-interarrival", type=float, default=SimConfig.mean_interarrival)
+    p.add_argument("--service-rate", type=float, default=SimConfig.router_service_rate,
                    help="router service rate in packets/second")
-    p.add_argument("--monitor-interval", type=float, default=0.5)
-    p.add_argument("--ttl", type=int, default=0, help="hop budget (0 = unlimited)")
-    p.add_argument("--attack-probability", type=float, default=0.01,
+    p.add_argument("--monitor-interval", type=float, default=SimConfig.monitor_interval)
+    p.add_argument("--ttl", type=int, default=SimConfig.ttl, help="hop budget (0 = unlimited)")
+    p.add_argument("--attack-probability", type=float,
+                   default=Scenario.attack_forwarding_probability,
                    help="forwarding probability of attacked routers")
 
 
@@ -231,11 +238,11 @@ class RunManifest:
     seeds: tuple[int, ...]
     duration: float
     out_dir: Path
-    mean_packet_size: float = 100.0
-    mean_interarrival: float = 2.0
-    router_service_rate: float = 2.2
-    monitor_interval: float = 0.5
-    ttl: int = 0
+    mean_packet_size: float = SimConfig.mean_packet_size
+    mean_interarrival: float = SimConfig.mean_interarrival
+    router_service_rate: float = SimConfig.router_service_rate
+    monitor_interval: float = SimConfig.monitor_interval
+    ttl: int = SimConfig.ttl
 
     def __post_init__(self):
         if not self.scenarios:
@@ -326,10 +333,10 @@ def cmd_compare(args) -> int:
     scenario = Scenario.from_string(args.scenario, args.attack_probability)
     manifest = _manifest_from_args(args, (scenario,))
     t = manifest.topology
+    universe = ranked_universe(t, args.k)  # likewise
     results = execute_manifest(manifest, echo=_echo_stderr)[scenario.label]
 
-    delay = rank_by_delay(results, t, k=args.k, tie_epsilon=args.tie_epsilon)
-    universe = [r for r in t.router_ids if r not in delay.excluded]
+    delay = rank_by_delay(results, t, tie_epsilon=args.tie_epsilon)
     comparisons = {
         metric: compare_rankings(rc, delay, args.k)
         for metric, rc in _rank_nodes(_node_metrics(t), args.tie_epsilon, universe).items()

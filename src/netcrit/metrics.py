@@ -187,7 +187,6 @@ class RankedClusters:
     """Criticality ranking as an ordered list of tie clusters."""
 
     clusters: tuple[RankCluster, ...]
-    direction: Direction
 
     def all_members(self) -> frozenset:
         out: set = set()
@@ -239,4 +238,4 @@ def rank_with_ties(
             members = [key]
             rep = val
     clusters.append(RankCluster(len(clusters) + 1, frozenset(members), rep))
-    return RankedClusters(clusters=tuple(clusters), direction=direction)
+    return RankedClusters(clusters=tuple(clusters))

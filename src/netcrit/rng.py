@@ -1,8 +1,8 @@
 """Reproducible random substreams for the simulator.
 
-Every stochastic actor in a run (each traffic generator, each router, each
-monitor) owns an independent PCG64 stream whose seed is derived from the run
-seed and the actor's identity via SHA-256. Splitting this way means adding
+Every stochastic actor in a run (each traffic generator and each router)
+owns an independent PCG64 stream whose seed is derived from the run seed and
+the actor's identity via SHA-256. Splitting this way means adding
 or removing one node never perturbs any other node's draws, and a run is a
 pure function of (topology, config, scenario, seed).
 

@@ -66,11 +66,9 @@ def _positive_finite(x: float) -> bool:
 class SimConfig:
     """Run parameters. Times are continuous double-precision seconds.
 
-    ``ttl`` is a hop budget (0 = unlimited). ``interarrival_cap`` optionally
-    truncates inter-arrival draws for sensitivity studies; the default keeps
-    the plain exponential and with it the Poisson arrival property.
-    ``exponential_sampling`` switches the monitor from the default fixed tick
-    to exponential sampling gaps with the same mean.
+    ``ttl`` is a hop budget (0 = unlimited). Inter-arrival gaps are plain
+    exponential draws, so each generator is a Poisson source; the monitor
+    samples every router on a fixed ``monitor_interval`` tick.
     """
 
     duration: float
@@ -80,8 +78,6 @@ class SimConfig:
     router_service_rate: float = 2.2
     monitor_interval: float = 0.5
     ttl: int = 0
-    interarrival_cap: float | None = None
-    exponential_sampling: bool = False
     event_cap: int = 100_000_000
 
     def __post_init__(self):
@@ -93,8 +89,6 @@ class SimConfig:
             raise ValueError("seed must be an unsigned 64-bit integer")
         if self.ttl < 0:
             raise ValueError("ttl must be >= 0 (0 = unlimited)")
-        if self.interarrival_cap is not None and not _positive_finite(self.interarrival_cap):
-            raise ValueError("interarrival_cap must be finite and > 0 when set")
         if self.event_cap <= 0:
             raise ValueError("event_cap must be > 0")
 
@@ -105,6 +99,8 @@ class Scenario:
 
     kind: str  # "stable" | "dos" | "ddos"
     targets: tuple[str, ...] = ()
+    # The constructors below take this field's default as theirs: a default
+    # expression is evaluated in the class body, where the name is bound.
     attack_forwarding_probability: float = 0.01
 
     def __post_init__(self):
@@ -126,18 +122,22 @@ class Scenario:
         return cls(kind="stable")
 
     @classmethod
-    def dos(cls, target: str, attack_forwarding_probability: float = 0.01) -> "Scenario":
+    def dos(cls, target: str,
+            attack_forwarding_probability: float = attack_forwarding_probability) -> "Scenario":
         return cls(kind="dos", targets=(target,),
                    attack_forwarding_probability=attack_forwarding_probability)
 
     @classmethod
-    def ddos(cls, targets, attack_forwarding_probability: float = 0.01) -> "Scenario":
+    def ddos(cls, targets,
+             attack_forwarding_probability: float = attack_forwarding_probability) -> "Scenario":
         ordered = tuple(sorted(set(targets), key=natural_key))
         return cls(kind="ddos", targets=ordered,
                    attack_forwarding_probability=attack_forwarding_probability)
 
     @classmethod
-    def from_string(cls, text: str, attack_forwarding_probability: float = 0.01) -> "Scenario":
+    def from_string(cls, text: str,
+                    attack_forwarding_probability: float = attack_forwarding_probability,
+                    ) -> "Scenario":
         """Parse the scenario grammar: "stable" | "dos:<id>" | "ddos:<id>,<id>[,...]"."""
         head, _, rest = text.strip().partition(":")
         if head == "stable":
@@ -174,8 +174,7 @@ class RouterSummary:
 def check_monitor_samples(routers: int, config: SimConfig) -> None:
     """Reject a run that would hold more than ``MAX_MONITOR_SAMPLES`` samples.
 
-    A run samples each router about duration / monitor_interval times; with
-    exponential sampling that is the expected count.
+    A run samples each router floor(duration / monitor_interval) times.
     """
     ticks = config.duration / config.monitor_interval  # inf only on overflow
     count = routers * (math.floor(ticks) if math.isfinite(ticks) else ticks)
@@ -191,9 +190,9 @@ class SimResult:
     """Outcome of one run: delay time series, per-router stats, accounting.
 
     ``samples`` maps each router to two ``array('d')`` columns of equal
-    length, ``(times, delays)``: the monitor's sample times and the router's
-    running mean sojourn at each. On the fixed tick every router's ``times``
-    is one shared array; with exponential sampling each router has its own.
+    length, ``(times, delays)``: the monitor's tick times and the router's
+    running mean sojourn at each. Every router's ``times`` is the one shared
+    tick array.
 
     The packet accounting satisfies
     generated == delivered_to_sink + dropped_by_attack + dropped_by_ttl +
@@ -201,9 +200,6 @@ class SimResult:
     """
 
     topology_name: str
-    scenario: Scenario
-    seed: int
-    duration: float
     samples: dict[str, tuple[array, array]]
     routers: dict[str, RouterSummary]
     generated: int
@@ -263,8 +259,6 @@ def run(
     gen_targets = [tuple(index[r] for r in topology.adjacency[g]) for g in generators]
     gen_streams = [stream(config.seed, "generator", g) for g in generators]
     router_random = [stream(config.seed, "router", r).random for r in routers]
-    monitor_streams = ([stream(config.seed, "monitor", r) for r in routers]
-                       if config.exponential_sampling else [])
 
     # Per-router state. A queue holds one (packet id, arrival link, hops,
     # arrival time) tuple per packet, with the packet in service at its head,
@@ -274,10 +268,8 @@ def run(
     forwarded = [0] * len(routers)
     sojourn = [0.0] * len(routers)
     dropped = [0] * len(routers)
-    # Monitor columns: one shared time column on the fixed tick.
+    # Monitor columns: one time column shared by every router.
     tick_times = array("d")
-    times = ([array("d") for _ in routers] if config.exponential_sampling
-             else [tick_times] * len(routers))
     delays = [array("d") for _ in routers]
 
     heap: list[tuple] = []
@@ -285,26 +277,14 @@ def run(
     generated = delivered = dropped_attack = dropped_ttl = 0
     size_total = inter_total = 0.0
     mean_service = 1.0 / config.router_service_rate
-    duration, ttl, cap = config.duration, config.ttl, config.interarrival_cap
+    duration, ttl = config.duration, config.ttl
     log1p = math.log1p
 
-    def interarrival(rng) -> float:
-        dt = sample_exponential(rng, config.mean_interarrival)
-        return dt if cap is None else min(dt, cap)
-
-    def delay(r: int) -> float:
-        return sojourn[r] / forwarded[r] if forwarded[r] else 0.0
-
     for g, rng in enumerate(gen_streams):
-        dt = interarrival(rng)
+        dt = sample_exponential(rng, config.mean_interarrival)
         inter_total += dt
         heappush(heap, (dt, next(seq), _GEN, g))
-    if config.exponential_sampling:
-        for r, rng in enumerate(monitor_streams):
-            heappush(heap, (sample_exponential(rng, config.monitor_interval), next(seq),
-                            _MONITOR, r))
-    else:
-        heappush(heap, (config.monitor_interval, next(seq), _MONITOR, None))
+    heappush(heap, (config.monitor_interval, next(seq), _MONITOR, None))
 
     events = 0
     event_cap = config.event_cap
@@ -358,23 +338,16 @@ def run(
                 router = targets[int(rng.random() * len(targets))]
             pid, came_from, hop_count = generated, -1, 0
             generated += 1
-            dt = interarrival(rng)
+            dt = sample_exponential(rng, config.mean_interarrival)
             inter_total += dt
             heappush(heap, (now + dt, next(seq), _GEN, node))
             node = router
 
-        elif node is None:  # _MONITOR, fixed tick for every router
+        else:  # _MONITOR: one tick samples every router
             tick_times.append(now)
             for column, s, f in zip(delays, sojourn, forwarded):
                 column.append(s / f if f else 0.0)
             heappush(heap, (now + config.monitor_interval, next(seq), _MONITOR, None))
-            continue
-
-        else:  # _MONITOR, exponential gap for one router
-            times[node].append(now)
-            delays[node].append(delay(node))
-            gap = sample_exponential(monitor_streams[node], config.monitor_interval)
-            heappush(heap, (now + gap, next(seq), _MONITOR, node))
             continue
 
         # Arrival of packet pid at router node, now. It counts as an event,
@@ -405,14 +378,11 @@ def run(
     sink_adjacent = topology.sink_adjacent_routers()
     return SimResult(
         topology_name=topology.name,
-        scenario=scenario,
-        seed=config.seed,
-        duration=duration,
-        samples=dict(zip(routers, zip(times, delays))),
-        routers={r: RouterSummary(final_delay=delay(i), forwarded=forwarded[i],
-                                  dropped_attack=dropped[i], attacked=admit[i] is not None,
+        samples={r: (tick_times, column) for r, column in zip(routers, delays)},
+        routers={r: RouterSummary(final_delay=s / f if f else 0.0, forwarded=f,
+                                  dropped_attack=d, attacked=p is not None,
                                   sink_adjacent=r in sink_adjacent)
-                 for i, r in enumerate(routers)},
+                 for r, s, f, d, p in zip(routers, sojourn, forwarded, dropped, admit)},
         generated=generated,
         delivered_to_sink=delivered,
         dropped_by_attack=dropped_attack,

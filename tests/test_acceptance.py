@@ -268,7 +268,7 @@ def test_criterion_10_dos_collapse(attack_pool):
 
 def test_criterion_11_case2_stable_top_cluster(attack_pool):
     t = attack_pool[2]["topology"]
-    ranking = rank_by_delay(attack_pool[2]["stable"], t, k=4)
+    ranking = rank_by_delay(attack_pool[2]["stable"], t)
     top = []
     for cluster in ranking.clusters.clusters:
         if len(top) >= 4:
@@ -286,7 +286,7 @@ def test_criterion_12_sink_adjacent_exclusion(attack_pool):
         t = attack_pool[case_id]["topology"]
         sink_adjacent = t.sink_adjacent_routers()
         for results in (attack_pool[case_id]["stable"], attack_pool[case_id]["dos"]):
-            ranking = rank_by_delay(results, t, k=3)
+            ranking = rank_by_delay(results, t)
             ok = ok and set(ranking.excluded) == set(sink_adjacent)
             ok = ok and ranking.clusters.all_members().isdisjoint(sink_adjacent)
             for k in range(1, len(ranking.clusters.all_members()) + 1):

@@ -199,6 +199,25 @@ class TestCompareCommand:
         assert capsys.readouterr().err.startswith("error: tie_epsilon must be finite")
         assert not (tmp_path / "runs").exists()
 
+    def test_k_above_ranked_universe_fails_before_any_run(self, tmp_path, capsys):
+        rc = run_cli("compare", "--case", "3", "--seeds", "1..2", "--duration", "10",
+                     "--k", "10", "--out", str(tmp_path))
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: k=10 larger than ranked universe (4 routers)")
+        assert not (tmp_path / "runs").exists()
+
+    def test_all_sink_adjacent_fails_before_any_run(self, tmp_path, capsys):
+        topo = tmp_path / "one.topo"
+        topo.write_text("node S sink\nnode R router\nnode G generator\n"
+                        "edge S R\nedge R G\n")
+        rc = run_cli("compare", "--topology", str(topo), "--seeds", "1..2",
+                     "--duration", "10", "--k", "1", "--out", str(tmp_path))
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: every router is sink-adjacent; nothing to rank")
+        assert not (tmp_path / "runs").exists()
+
 
 class TestRunManifest:
     def test_invariants(self, tmp_path):

@@ -1,13 +1,13 @@
 """Golden outputs: SHA-256 of the per-run CSVs for a few tiny, fixed runs.
 
-The runs cover the kernel branches the default configuration never takes:
-a hop budget, exponential monitor sampling, truncated inter-arrivals, DDoS,
-an attack whose admit probability is 1.0 (an admission draw still happens
-on every arrival), and a generator linked to two routers. Seven seeded random
-topologies add leaf routers that send packets back, routers fed by several
-generators, generators linked to two routers, and every scenario kind with and
-without a hop budget. Any change to the order or the conditions of the random
-draws changes these digests.
+The runs cover the default configuration on the meshed case (stable) and the
+tree case (DoS), and the kernel branches the default configuration never
+takes: a hop budget, DDoS, an attack whose admit probability is 1.0 (an
+admission draw still happens on every arrival), and a generator linked to
+two routers. Seven seeded random topologies add leaf routers that send
+packets back, routers fed by several generators, generators linked to two
+routers, and every scenario kind with and without a hop budget. Any change
+to the order or the conditions of the random draws changes these digests.
 
 It also pins the files and stdout of the metrics command on every built-in
 case and on an 80-router chorded ring, and of the case-study and DoS-sweep
@@ -35,12 +35,6 @@ TWO_HOMED = parse_topology(
 
 RUNS = {
     "case3-stable-ttl": (lambda: builtin_case(3), SimConfig(duration=40.0, seed=11, ttl=3),
-                         Scenario.stable()),
-    "case2-dos-expsampling": (lambda: builtin_case(2),
-                              SimConfig(duration=40.0, seed=5, exponential_sampling=True),
-                              Scenario.dos("3")),
-    "case1-stable-cap": (lambda: builtin_case(1),
-                         SimConfig(duration=30.0, seed=2, interarrival_cap=1.0),
                          Scenario.stable()),
     "case2-dos": (lambda: builtin_case(2), SimConfig(duration=40.0, seed=5), Scenario.dos("3")),
     "case1-stable": (lambda: builtin_case(1), SimConfig(duration=30.0, seed=2),
@@ -82,11 +76,6 @@ GOLDEN = {
         "summary.csv": "94f422e4807ebfafc9cb4605ce4f9b79e347ebafa794680f42ef96d2b16e168c",
         "accounting.csv": "07d071c2d99baa26abee85ccf47d1da22ed94a02730b7e778cde5036f9d23174",
     },
-    "case1-stable-cap": {
-        "timeseries.csv": "b0256e50e612e1269c051f441ffb944e8fbc1d60110712d4aef36470b134c8d8",
-        "summary.csv": "e4c75063a253b8543de34ae52693318949ebac8f790956313c369a92ea59e540",
-        "accounting.csv": "f7569ff4990f676513ad811831592fdf38a9077a517871fd900612d21a438206",
-    },
     "case2-ddos": {
         "timeseries.csv": "a9fabf66bd18470c959bf4fb58862d10f47a315da0b04664ddd05db052321187",
         "summary.csv": "d94a7f9097c020074bc1b5f1e49b8223790e8dcaffcea2c08363c2dcf296d028",
@@ -94,11 +83,6 @@ GOLDEN = {
     },
     "case2-dos": {
         "timeseries.csv": "2c9d1278973747c93ea84a01035208cca0b199fa24eceefe2bf68994866c11c0",
-        "summary.csv": "10d868ceebe4a12c9f2bff0dfcf8ac91e28b2b55233d4a7e5b8265a8aefd2e06",
-        "accounting.csv": "8da9c52d214755c30ce2f8c09fabc99e50c40bed64eacb89888744bafbd0de91",
-    },
-    "case2-dos-expsampling": {
-        "timeseries.csv": "f734c1be265a57213f3d8ca78b17f180fcb09a01695148095a18f37e66af5994",
         "summary.csv": "10d868ceebe4a12c9f2bff0dfcf8ac91e28b2b55233d4a7e5b8265a8aefd2e06",
         "accounting.csv": "8da9c52d214755c30ce2f8c09fabc99e50c40bed64eacb89888744bafbd0de91",
     },

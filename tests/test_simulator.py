@@ -206,8 +206,7 @@ class TestConfig:
             SimConfig(**kwargs)
 
     @pytest.mark.parametrize("field", ["duration", "mean_packet_size", "mean_interarrival",
-                                       "router_service_rate", "monitor_interval",
-                                       "interarrival_cap"])
+                                       "router_service_rate", "monitor_interval"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
@@ -291,13 +290,6 @@ class TestRun:
         assert list(times) == pytest.approx([0.5 * i for i in range(1, 21)])
         assert len(delays) == len(times)
 
-    def test_exponential_sampling_mode(self, mm1_topology):
-        cfg = SimConfig(duration=50.0, seed=1, exponential_sampling=True)
-        res = run(mm1_topology, cfg, Scenario.stable())
-        times, delays = res.samples["R"]
-        assert len(times) == len(delays) > 10
-        assert any(abs(t / 0.5 - round(t / 0.5)) > 1e-6 for t in times)
-
     def test_monitor_samples_are_float_columns(self):
         t, config = builtin_case(1), SimConfig(duration=400.0, seed=3)
         run(t, config, Scenario.stable())  # warm-up: imports, routing-table memo
@@ -315,21 +307,17 @@ class TestRun:
         assert held <= 16 * count
         tick = res.samples["1"][0]
         assert all(times is tick for times, _ in res.samples.values())
-        exp = run(builtin_case(2), SimConfig(duration=50.0, seed=3, exponential_sampling=True),
-                  Scenario.stable())
-        assert len({id(times) for times, _ in exp.samples.values()}) == len(exp.samples) == 14
 
     def test_monitor_sample_cap(self):
         t = builtin_case(3)  # 5 routers
         at_cap = MAX_MONITOR_SAMPLES // 5 * 0.5  # duration for exactly the cap at 0.5 s
         count = 5 * (MAX_MONITOR_SAMPLES // 5 + 1)  # one tick more
-        for sampling in (False, True):
-            check_monitor_samples(5, SimConfig(duration=at_cap, exponential_sampling=sampling))
-            over = SimConfig(duration=at_cap + 0.5, exponential_sampling=sampling)
-            with pytest.raises(ValueError, match=f"hold {count:,} monitor samples"):
-                check_monitor_samples(5, over)
-            with pytest.raises(ValueError, match="monitor samples"):
-                run(t, over, Scenario.stable())
+        check_monitor_samples(5, SimConfig(duration=at_cap))
+        over = SimConfig(duration=at_cap + 0.5)
+        with pytest.raises(ValueError, match=f"hold {count:,} monitor samples"):
+            check_monitor_samples(5, over)
+        with pytest.raises(ValueError, match="monitor samples"):
+            run(t, over, Scenario.stable())
         huge = SimConfig(duration=1e300, monitor_interval=1e-300)  # ratio overflows
         with pytest.raises(ValueError, match="hold inf monitor samples"):
             check_monitor_samples(1, huge)
@@ -339,11 +327,6 @@ class TestRun:
         assert res.generated > 2000
         assert res.mean_packet_size_observed == pytest.approx(100.0, rel=0.05)
         assert res.mean_interarrival_observed == pytest.approx(2.0, rel=0.05)
-
-    def test_interarrival_cap_truncates(self, mm1_topology):
-        cfg = SimConfig(duration=300.0, seed=2, interarrival_cap=0.5)
-        res = run(mm1_topology, cfg, Scenario.stable())
-        assert res.mean_interarrival_observed <= 0.5
 
     def test_ttl_budget(self):
         text = ("node S sink\nnode R1 router\nnode R2 router\nnode G generator\n"

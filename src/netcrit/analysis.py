@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from statistics import fmean
 from typing import Iterable, Mapping, Sequence
 
-from .metrics import Direction, RankedClusters, rank_with_ties
+from .metrics import TIE_EPSILON, Direction, RankedClusters, rank_with_ties
 from .simulator import SimResult
 from .topology import Topology, natural_key
 
@@ -69,7 +69,7 @@ def ranked_universe(t: Topology, k: int = 1) -> list[str]:
 
 
 def rank_by_delay(
-    results: Sequence[SimResult], t: Topology, tie_epsilon: float = 1e-9
+    results: Sequence[SimResult], t: Topology, tie_epsilon: float = TIE_EPSILON
 ) -> DelayRanking:
     """Rank routers by final delay averaged across seeds.
 

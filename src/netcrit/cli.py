@@ -27,6 +27,7 @@ from .analysis import (
     ranked_universe,
 )
 from .metrics import (
+    TIE_EPSILON,
     Direction,
     PowerIterationError,
     betweenness_centrality,
@@ -49,7 +50,6 @@ from .topology import (
 
 # Upper bound on the seeds of one campaign, checked before a range is built.
 MAX_SEEDS = 100_000
-TIE_EPSILON = 1e-9
 
 # Disturbance sets studied per case: DoS on the simulation-critical routers,
 # plus the DDoS pairs/triples tied to the top-ranked edges.

@@ -195,6 +195,10 @@ class RankedClusters:
         return frozenset(out)
 
 
+# Default tolerance within which values rank as one tie cluster.
+TIE_EPSILON = 1e-9
+
+
 def check_tie_epsilon(tie_epsilon: float) -> None:
     """Raise ValueError unless ``tie_epsilon`` is finite and >= 0."""
     if not (math.isfinite(tie_epsilon) and tie_epsilon >= 0):
@@ -204,7 +208,7 @@ def check_tie_epsilon(tie_epsilon: float) -> None:
 def rank_with_ties(
     values: Mapping[Hashable, float],
     direction: Direction = Direction.HIGHER_IS_CRITICAL,
-    tie_epsilon: float = 1e-9,
+    tie_epsilon: float = TIE_EPSILON,
     subset: Iterable[Hashable] | None = None,
 ) -> RankedClusters:
     """Sort by criticality and group values within ``tie_epsilon`` of each

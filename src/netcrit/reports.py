@@ -111,20 +111,16 @@ def write_timeseries(path: str | Path, result: SimResult) -> None:
     """One row per sample, byte for byte what ``csv.writer`` and ``_fmt`` write.
 
     Rows are built as plain strings, which is safe because router ids match
-    ``[A-Za-z0-9_]+`` and ``repr`` of a float never needs quoting. A time
-    column is formatted once per column object, so the fixed tick's shared
+    ``[A-Za-z0-9_]+`` and ``repr`` of a float never needs quoting. The tick
     column is formatted once for all routers. A router's delay is formatted
     only when it changes; a zero delay never reuses the previous text, since
     ``0.0 == -0.0`` but their text differs. Each router's rows go out in one
     ``write``.
     """
-    last_times = time_text = None
+    time_text = [f",{t!r}," for t in result.tick_times]
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(TIMESERIES_COLUMNS) + "\n")
-        for router, (times, delays) in result.samples.items():
-            if times is not last_times:
-                last_times = times
-                time_text = [f",{t!r}," for t in times]
+        for router, delays in result.tick_delays.items():
             lines = []
             append = lines.append
             last = None

@@ -18,26 +18,12 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+from typing import Callable
 
 import numpy as np
 
 _CHUNK = 256
 _SEP = b"\x1f"  # unit separator; cannot appear in whitespace-free node ids
-
-
-class Stream:
-    """Buffered uniform [0, 1) draws from one PCG64 substream.
-
-    ``random()`` is ``next`` over the chained chunks, each converted to a
-    list of Python floats with ``tolist()``, so a draw is one C-level call.
-    """
-
-    __slots__ = ("random",)
-
-    def __init__(self, substream_seed: int):
-        gen = np.random.Generator(np.random.PCG64(substream_seed))
-        chunks = iter(lambda: gen.random(_CHUNK).tolist(), None)
-        self.random = functools.partial(next, itertools.chain.from_iterable(chunks))
 
 
 def substream_seed(seed: int, *scope: str) -> int:
@@ -48,6 +34,13 @@ def substream_seed(seed: int, *scope: str) -> int:
     return int.from_bytes(hashlib.sha256(material).digest()[:16], "little")
 
 
-def stream(seed: int, *scope: str) -> Stream:
-    """Independent stream for one actor, e.g. stream(seed, "router", "5")."""
-    return Stream(substream_seed(seed, *scope))
+def stream(seed: int, *scope: str) -> Callable[[], float]:
+    """Draw callable of one actor's stream, e.g. stream(seed, "router", "5").
+
+    Each call returns the next uniform in [0, 1). It is ``next`` over the
+    chained chunks, each converted to a list of Python floats with
+    ``tolist()``, so a draw is one C-level call.
+    """
+    gen = np.random.Generator(np.random.PCG64(substream_seed(seed, *scope)))
+    chunks = iter(lambda: gen.random(_CHUNK).tolist(), None)
+    return functools.partial(next, itertools.chain.from_iterable(chunks))

@@ -45,16 +45,19 @@ class SimulationLimitError(RuntimeError):
     """The event budget was exhausted before the configured duration elapsed."""
 
 
+# Most events one run may process before it raises SimulationLimitError.
+EVENT_CAP = 100_000_000
+
 # Most monitor samples one run may hold: 8 bytes of delay each, so about
 # 400 MB. Checked before a run starts, never by allocating.
 MAX_MONITOR_SAMPLES = 50_000_000
 
 
-def sample_exponential(rng, mean: float) -> float:
-    """Inverse-CDF exponential draw: -mean * ln(1 - u) for one uniform u."""
+def sample_exponential(draw: Callable[[], float], mean: float) -> float:
+    """Inverse-CDF exponential draw: -mean * ln(1 - u) for one uniform u = draw()."""
     if mean <= 0:
         raise ValueError("mean must be > 0")
-    return -mean * math.log1p(-rng.random())
+    return -mean * math.log1p(-draw())
 
 
 def _positive_finite(x: float) -> bool:
@@ -78,7 +81,6 @@ class SimConfig:
     router_service_rate: float = 2.2
     monitor_interval: float = 0.5
     ttl: int = 0
-    event_cap: int = 100_000_000
 
     def __post_init__(self):
         for name in ("duration", "mean_packet_size", "mean_interarrival",
@@ -89,8 +91,6 @@ class SimConfig:
             raise ValueError("seed must be an unsigned 64-bit integer")
         if self.ttl < 0:
             raise ValueError("ttl must be >= 0 (0 = unlimited)")
-        if self.event_cap <= 0:
-            raise ValueError("event_cap must be > 0")
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,7 @@ class Scenario:
     @classmethod
     def ddos(cls, targets,
              attack_forwarding_probability: float = attack_forwarding_probability) -> "Scenario":
-        ordered = tuple(sorted(set(targets), key=natural_key))
+        ordered = tuple(sorted(targets, key=natural_key))
         return cls(kind="ddos", targets=ordered,
                    attack_forwarding_probability=attack_forwarding_probability)
 
@@ -189,10 +189,9 @@ def check_monitor_samples(routers: int, config: SimConfig) -> None:
 class SimResult:
     """Outcome of one run: delay time series, per-router stats, accounting.
 
-    ``samples`` maps each router to two ``array('d')`` columns of equal
-    length, ``(times, delays)``: the monitor's tick times and the router's
-    running mean sojourn at each. Every router's ``times`` is the one shared
-    tick array.
+    ``tick_times`` holds the monitor's tick times, and ``tick_delays`` maps
+    each router, in declaration order, to its running mean sojourn at each
+    tick: ``array('d')`` columns, each as long as ``tick_times``.
 
     The packet accounting satisfies
     generated == delivered_to_sink + dropped_by_attack + dropped_by_ttl +
@@ -200,7 +199,8 @@ class SimResult:
     """
 
     topology_name: str
-    samples: dict[str, tuple[array, array]]
+    tick_times: array
+    tick_delays: dict[str, array]
     routers: dict[str, RouterSummary]
     generated: int
     delivered_to_sink: int
@@ -227,8 +227,7 @@ _GEN, _COMPLETE, _MONITOR = 0, 1, 2
 
 
 def _over_cap(cap: int, now: float) -> SimulationLimitError:
-    return SimulationLimitError(
-        f"event cap {cap} exceeded at t={now:.3f}s (raise SimConfig.event_cap to continue)")
+    return SimulationLimitError(f"event cap {cap} exceeded at t={now:.3f}s")
 
 
 def run(
@@ -257,8 +256,8 @@ def run(
 
     generators = topology.generator_ids
     gen_targets = [tuple(index[r] for r in topology.adjacency[g]) for g in generators]
-    gen_streams = [stream(config.seed, "generator", g) for g in generators]
-    router_random = [stream(config.seed, "router", r).random for r in routers]
+    gen_random = [stream(config.seed, "generator", g) for g in generators]
+    router_random = [stream(config.seed, "router", r) for r in routers]
 
     # Per-router state. A queue holds one (packet id, arrival link, hops,
     # arrival time) tuple per packet, with the packet in service at its head,
@@ -280,14 +279,14 @@ def run(
     duration, ttl = config.duration, config.ttl
     log1p = math.log1p
 
-    for g, rng in enumerate(gen_streams):
-        dt = sample_exponential(rng, config.mean_interarrival)
+    for g, draw in enumerate(gen_random):
+        dt = sample_exponential(draw, config.mean_interarrival)
         inter_total += dt
         heappush(heap, (dt, next(seq), _GEN, g))
     heappush(heap, (config.monitor_interval, next(seq), _MONITOR, None))
 
     events = 0
-    event_cap = config.event_cap
+    event_cap = EVENT_CAP
     while heap and heap[0][0] <= duration:
         now, _, kind, node = heappop(heap)
         events += 1
@@ -318,7 +317,7 @@ def run(
                     delivered += 1
             if queue:
                 # Inlined service draw: now - m * log1p(-u) is bit-equal to
-                # now + sample_exponential(rng, m), since -m * x == -(m * x).
+                # now + sample_exponential(draw, m), since -m * x == -(m * x).
                 done = now - mean_service * log1p(-router_random[node]())
                 heappush(heap, (done, next(seq), _COMPLETE, node))
             if dest == sink:
@@ -326,19 +325,19 @@ def run(
             came_from, node, hop_count = node, dest, hop_count + 1
 
         elif kind == _GEN:
-            rng = gen_streams[node]
+            draw = gen_random[node]
             size = 0.0
             while size <= 0.0:  # sizes must be strictly positive
-                size = sample_exponential(rng, config.mean_packet_size)
+                size = sample_exponential(draw, config.mean_packet_size)
             size_total += size
             targets = gen_targets[node]
             if len(targets) == 1:
                 router = targets[0]
             else:
-                router = targets[int(rng.random() * len(targets))]
+                router = targets[int(draw() * len(targets))]
             pid, came_from, hop_count = generated, -1, 0
             generated += 1
-            dt = sample_exponential(rng, config.mean_interarrival)
+            dt = sample_exponential(draw, config.mean_interarrival)
             inter_total += dt
             heappush(heap, (now + dt, next(seq), _GEN, node))
             node = router
@@ -378,7 +377,8 @@ def run(
     sink_adjacent = topology.sink_adjacent_routers()
     return SimResult(
         topology_name=topology.name,
-        samples={r: (tick_times, column) for r, column in zip(routers, delays)},
+        tick_times=tick_times,
+        tick_delays=dict(zip(routers, delays)),
         routers={r: RouterSummary(final_delay=s / f if f else 0.0, forwarded=f,
                                   dropped_attack=d, attacked=p is not None,
                                   sink_adjacent=r in sink_adjacent)

@@ -40,7 +40,8 @@ def fake_result(t, delays):
     }
     return SimResult(
         topology_name=t.name,
-        samples={r: (array("d"), array("d")) for r in t.router_ids}, routers=routers,
+        tick_times=array("d"), tick_delays={r: array("d") for r in t.router_ids},
+        routers=routers,
         generated=0, delivered_to_sink=0, dropped_by_attack=0, dropped_by_ttl=0,
         in_flight_at_end=0, event_count=0, generated_size_total=0.0,
         interarrival_total=0.0, interarrival_draws=0,

@@ -129,6 +129,14 @@ class TestSimulateCommand:
         assert rc == 1
         assert "distinct" in capsys.readouterr().err
 
+    def test_duplicate_ddos_targets_rejected(self, tmp_path, capsys):
+        rc = run_cli("simulate", "--case", "2", "--scenario", "ddos:3,3",
+                     "--duration", "2", "--out", str(tmp_path))
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: scenario targets must be distinct")
+        assert not (tmp_path / "runs").exists()
+
     @pytest.mark.parametrize("option, field", [
         ("--duration", "duration"),
         ("--mean-packet-size", "mean_packet_size"),

@@ -2,7 +2,6 @@ import gc
 import math
 import tracemalloc
 from collections import defaultdict
-from dataclasses import replace
 from statistics import fmean
 
 import numpy as np
@@ -11,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import topologies
+from netcrit import simulator
 from netcrit.rng import _CHUNK, stream, substream_seed
 from netcrit.simulator import (
     MAX_MONITOR_SAMPLES,
@@ -24,16 +24,6 @@ from netcrit.simulator import (
 from netcrit.topology import Topology, builtin_case, build_routing_table, parse_topology
 
 
-class FakeStream:
-    """Deterministic uniform source for unit tests."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def random(self):
-        return self.values.pop(0)
-
-
 def conserved(result) -> bool:
     return result.generated == (result.delivered_to_sink + result.dropped_by_attack
                                 + result.dropped_by_ttl + result.in_flight_at_end)
@@ -41,14 +31,14 @@ def conserved(result) -> bool:
 
 class TestSampling:
     def test_inverse_cdf_at_zero(self):
-        assert sample_exponential(FakeStream([0.0]), 2.0) == 0.0
+        assert sample_exponential(iter([0.0]).__next__, 2.0) == 0.0
 
     def test_inverse_cdf_at_half(self):
-        assert sample_exponential(FakeStream([0.5]), 2.0) == pytest.approx(2 * math.log(2))
+        assert sample_exponential(iter([0.5]).__next__, 2.0) == pytest.approx(2 * math.log(2))
 
     def test_nonpositive_mean_rejected(self):
         with pytest.raises(ValueError):
-            sample_exponential(FakeStream([0.5]), 0.0)
+            sample_exponential(iter([0.5]).__next__, 0.0)
 
     def test_empirical_mean(self):
         s = stream(99, "exp-test")
@@ -61,31 +51,31 @@ class TestStreams:
     def test_scopes_are_independent(self):
         a = stream(7, "router", "1")
         b = stream(7, "router", "2")
-        assert [a.random() for _ in range(4)] != [b.random() for _ in range(4)]
+        assert [a() for _ in range(4)] != [b() for _ in range(4)]
 
     def test_same_scope_reproduces(self):
-        assert [stream(7, "x").random() for _ in range(5)] == [
-            stream(7, "x").random() for _ in range(5)]
+        assert [stream(7, "x")() for _ in range(5)] == [
+            stream(7, "x")() for _ in range(5)]
 
     def test_draws_across_chunk_boundaries(self):
         n = 3 * _CHUNK + 5
         s = stream(42, "router", "7")
         expected = np.random.Generator(
             np.random.PCG64(substream_seed(42, "router", "7"))).random(n).tolist()
-        assert [s.random() for _ in range(n)] == expected
+        assert [s() for _ in range(n)] == expected
 
     def test_interleaved_streams_do_not_interfere(self):
         n = 2 * _CHUNK + 3
         a, b = stream(5, "a"), stream(5, "b")
-        alone_a = [a.random() for _ in range(n)]
-        alone_b = [b.random() for _ in range(n)]
+        alone_a = [a() for _ in range(n)]
+        alone_b = [b() for _ in range(n)]
         a, b = stream(5, "a"), stream(5, "b")
         mixed_a, mixed_b = [], []
         for i in range(n):  # b draws at half a's pace, so their refills fall apart
-            mixed_a.append(a.random())
+            mixed_a.append(a())
             if i % 2:
-                mixed_b.append(b.random())
-        mixed_b += [b.random() for _ in range(n - len(mixed_b))]
+                mixed_b.append(b())
+        mixed_b += [b() for _ in range(n - len(mixed_b))]
         assert mixed_a == alone_a
         assert mixed_b == alone_b
 
@@ -161,7 +151,7 @@ class TestScenario:
         for text in ("stable", "dos:5", "ddos:2,6"):
             assert Scenario.from_string(text).label == text
 
-    @pytest.mark.parametrize("bad", ["dos:", "ddos:", "flood:3", "stable:1", "dos"])
+    @pytest.mark.parametrize("bad", ["dos:", "ddos:", "flood:3", "stable:1", "dos", "ddos:3,3"])
     def test_bad_grammar_rejected(self, bad):
         with pytest.raises(ValueError):
             Scenario.from_string(bad)
@@ -199,7 +189,6 @@ class TestConfig:
         {"duration": 10.0, "mean_interarrival": -1.0},
         {"duration": 10.0, "seed": -1},
         {"duration": 10.0, "ttl": -2},
-        {"duration": 10.0, "event_cap": 0},
     ])
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -286,9 +275,8 @@ class TestRun:
 
     def test_monitor_samples_run_on_schedule(self, mm1_topology):
         res = run(mm1_topology, SimConfig(duration=10.0, seed=1), Scenario.stable())
-        times, delays = res.samples["R"]
-        assert list(times) == pytest.approx([0.5 * i for i in range(1, 21)])
-        assert len(delays) == len(times)
+        assert list(res.tick_times) == pytest.approx([0.5 * i for i in range(1, 21)])
+        assert len(res.tick_delays["R"]) == len(res.tick_times)
 
     def test_monitor_samples_are_float_columns(self):
         t, config = builtin_case(1), SimConfig(duration=400.0, seed=3)
@@ -302,11 +290,9 @@ class TestRun:
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        count = sum(len(delays) for _, delays in res.samples.values())
+        count = sum(len(delays) for delays in res.tick_delays.values())
         assert count == 18 * 800
         assert held <= 16 * count
-        tick = res.samples["1"][0]
-        assert all(times is tick for times, _ in res.samples.values())
 
     def test_monitor_sample_cap(self):
         t = builtin_case(3)  # 5 routers
@@ -340,14 +326,14 @@ class TestRun:
         assert enough.dropped_by_ttl == 0
         assert enough.delivered_to_sink > 0
 
-    def test_event_cap_raises(self):
+    def test_event_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(simulator, "EVENT_CAP", 50)
         with pytest.raises(SimulationLimitError):
-            run(builtin_case(2), SimConfig(duration=100.0, seed=1, event_cap=50),
-                Scenario.stable())
+            run(builtin_case(2), SimConfig(duration=100.0, seed=1), Scenario.stable())
 
     @pytest.mark.parametrize("scenario", [Scenario.stable(), Scenario.dos("3")],
                              ids=["stable", "dos"])
-    def test_event_cap_is_exact(self, scenario):
+    def test_event_cap_is_exact(self, scenario, monkeypatch):
         t = builtin_case(2)
         arrivals = []
 
@@ -361,9 +347,11 @@ class TestRun:
         cfg = SimConfig(duration=arrivals[-1], seed=4)
         full = run(t, cfg, scenario)
         n = full.event_count
-        assert run(t, replace(cfg, event_cap=n), scenario) == full
+        monkeypatch.setattr(simulator, "EVENT_CAP", n)
+        assert run(t, cfg, scenario) == full
+        monkeypatch.setattr(simulator, "EVENT_CAP", n - 1)
         with pytest.raises(SimulationLimitError, match=f"event cap {n - 1} exceeded"):
-            run(t, replace(cfg, event_cap=n - 1), scenario)
+            run(t, cfg, scenario)
 
     def test_packet_sizes_positive_and_recorded(self, mm1_topology):
         res = run(mm1_topology, SimConfig(duration=100.0, seed=9), Scenario.stable())

@@ -11,7 +11,8 @@ to the order or the conditions of the random draws changes these digests.
 
 It also pins the files and stdout of the metrics command on every built-in
 case and on an 80-router chorded ring, and of the case-study and DoS-sweep
-workflows at a short run.
+workflows at a short run, and the comparison files and stdout of the
+compare command.
 """
 
 import hashlib
@@ -267,3 +268,20 @@ def test_workflow_outputs_match_golden_digests(workflow, case, tmp_path, capsys)
     assert sha256((tmp_path / table).read_bytes()) == table_digest
     assert tree_digest(tmp_path / "runs") == runs_digest
     assert sha256(capsys.readouterr().out.encode()) == stdout_digest
+
+
+# netcrit compare --case 3 --seeds 1..2 --duration 20 --k 2
+COMPARE_GOLDEN = {
+    "comparison.csv": "43ae490815068125f54bd09a715637ea442eda7aa6ddcc8a7860139ddeec749c",
+    "report.txt": "f59c4e0d4c099c0108722b1e929cc2e86cb7fcd8fda9b3235c86c43067a4379a",
+    "stdout": "f59c4e0d4c099c0108722b1e929cc2e86cb7fcd8fda9b3235c86c43067a4379a",
+}
+
+
+def test_compare_outputs_match_golden_digests(tmp_path, capsys):
+    assert main(["compare", "--case", "3", "--seeds", "1..2", "--duration", "20",
+                 "--k", "2", "--out", str(tmp_path)]) == 0
+    found = {name: sha256((tmp_path / "compare" / name).read_bytes())
+             for name in ("comparison.csv", "report.txt")}
+    found["stdout"] = sha256(capsys.readouterr().out.encode())
+    assert found == COMPARE_GOLDEN

@@ -1,114 +1,89 @@
-"""CSV emitters and readers for metrics, runs, comparison and sweep reports.
+"""CSV writers and one reader for metrics, runs, comparison and sweep reports.
 
-Floats are written with repr() so files round-trip exactly and identical
-runs produce byte-identical output.
+Each CSV's columns are declared once, as a ``{column: type}`` table, and
+every file is written with ``_write`` and read back with ``read_csv`` from
+that table. ``csv.writer`` writes floats with repr(), so files round-trip
+exactly and identical runs produce byte-identical output. A ``bool`` cell is
+written as 0/1 and an id ``tuple`` as its ids joined with ';'.
 """
 
 from __future__ import annotations
 
 import csv
-from array import array
 from pathlib import Path
-from typing import Collection, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .analysis import OutageImpact, RankingComparison
 from .metrics import RankedClusters
 from .simulator import SimResult
 from .topology import Topology, natural_key
 
-NODE_METRICS_COLUMNS = ["node_id", "role", "betweenness", "eccentricity", "eigenvector"]
-EDGE_METRICS_COLUMNS = ["u", "v", "edge_betweenness"]
-RANKINGS_COLUMNS = ["metric", "rank", "members", "value"]
-TIMESERIES_COLUMNS = ["router_id", "time_s", "delay_s"]
-SUMMARY_COLUMNS = ["router_id", "final_delay_s", "forwarded", "dropped_attack",
-                   "attacked", "sink_adjacent"]
-ACCOUNTING_COLUMNS = ["generated", "delivered_to_sink", "dropped_by_attack",
-                      "dropped_by_ttl", "in_flight_at_end"]
-COMPARISON_COLUMNS = ["metric", "k", "overlap", "spearman", "metric_topk", "delay_topk"]
-ATTACK_SWEEP_COLUMNS = ["rank", "router_id", "delivered", "delivery_loss_pct",
-                        "survivor_delay_shift_s"]
-_MEMBER_SEP = ";"
+NODE_METRICS_COLUMNS = {"node_id": str, "role": str, "betweenness": float,
+                        "eccentricity": int, "eigenvector": float}
+EDGE_METRICS_COLUMNS = {"u": str, "v": str, "edge_betweenness": float}
+RANKINGS_COLUMNS = {"metric": str, "rank": int, "members": tuple, "value": float}
+TIMESERIES_COLUMNS = {"router_id": str, "time_s": float, "delay_s": float}
+SUMMARY_COLUMNS = {"router_id": str, "final_delay_s": float, "forwarded": int,
+                   "dropped_attack": int, "attacked": bool, "sink_adjacent": bool}
+ACCOUNTING_COLUMNS = {"generated": int, "delivered_to_sink": int, "dropped_by_attack": int,
+                      "dropped_by_ttl": int, "in_flight_at_end": int}
+COMPARISON_COLUMNS = {"metric": str, "k": int, "overlap": float, "spearman": float,
+                      "metric_topk": tuple, "delay_topk": tuple}
+ATTACK_SWEEP_COLUMNS = {"rank": int, "router_id": str, "delivered": float,
+                        "delivery_loss_pct": float, "survivor_delay_shift_s": float}
+_ID_SEP = ";"
+_TO_TEXT = {bool: int, tuple: _ID_SEP.join}
+_FROM_TEXT = {bool: lambda text: bool(int(text)),
+              tuple: lambda text: tuple(text.split(_ID_SEP)) if text else ()}
 
 
-def _writer(path: Path):
-    handle = path.open("w", encoding="utf-8", newline="")
-    return handle, csv.writer(handle, lineterminator="\n")
+def _write(path: str | Path, columns: Mapping[str, type], rows: Iterable[Sequence]) -> None:
+    """Write the header and one line per row, each cell converted by its column's type."""
+    to_text = [_TO_TEXT.get(kind) for kind in columns.values()]
+    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+        w = csv.writer(handle, lineterminator="\n")
+        w.writerow(columns)
+        w.writerows([cell if f is None else f(cell) for f, cell in zip(to_text, row)]
+                    for row in rows)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def read_csv(path: str | Path, columns: Mapping[str, type]) -> list[dict]:
+    """One dict per row of a file written here, each cell parsed by its column's type."""
+    parse = {name: _FROM_TEXT.get(kind, kind) for name, kind in columns.items()}
+    with Path(path).open(encoding="utf-8", newline="") as handle:
+        reader = csv.DictReader(handle)
+        if reader.fieldnames != list(columns):
+            raise ValueError(f"{path}: header {reader.fieldnames}, expected {list(columns)}")
+        return [{name: f(rec[name]) for name, f in parse.items()} for rec in reader]
 
 
-def _members_text(members) -> str:
-    return _MEMBER_SEP.join(
-        m if isinstance(m, str) else "-".join(m)
-        for m in sorted(members, key=lambda m: natural_key(str(m)))
-    )
+def _member_ids(members) -> tuple[str, ...]:
+    """Cluster members in natural order; an edge (u, v) becomes "u-v"."""
+    return tuple(m if isinstance(m, str) else "-".join(m)
+                 for m in sorted(members, key=lambda m: natural_key(str(m))))
 
 
 def write_node_metrics(path: str | Path, t: Topology, betweenness, eccentricity,
                        eigenvector) -> None:
-    handle, w = _writer(Path(path))
-    with handle:
-        w.writerow(NODE_METRICS_COLUMNS)
-        for nid, role in t.nodes:
-            w.writerow([nid, role.value, _fmt(betweenness[nid]), int(eccentricity[nid]),
-                        _fmt(eigenvector[nid])])
-
-
-def read_node_metrics(path: str | Path) -> list[dict]:
-    rows = []
-    with Path(path).open(encoding="utf-8", newline="") as handle:
-        for rec in csv.DictReader(handle):
-            rows.append({
-                "node_id": rec["node_id"],
-                "role": rec["role"],
-                "betweenness": float(rec["betweenness"]),
-                "eccentricity": int(rec["eccentricity"]),
-                "eigenvector": float(rec["eigenvector"]),
-            })
-    return rows
+    _write(path, NODE_METRICS_COLUMNS,
+           ((nid, role.value, betweenness[nid], eccentricity[nid], eigenvector[nid])
+            for nid, role in t.nodes))
 
 
 def write_edge_metrics(path: str | Path, edge_values: Mapping[tuple[str, str], float]) -> None:
-    handle, w = _writer(Path(path))
-    with handle:
-        w.writerow(EDGE_METRICS_COLUMNS)
-        for (u, v) in sorted(edge_values, key=lambda e: (natural_key(e[0]), natural_key(e[1]))):
-            w.writerow([u, v, _fmt(edge_values[(u, v)])])
-
-
-def read_edge_metrics(path: str | Path) -> dict[tuple[str, str], float]:
-    out = {}
-    with Path(path).open(encoding="utf-8", newline="") as handle:
-        for rec in csv.DictReader(handle):
-            out[(rec["u"], rec["v"])] = float(rec["edge_betweenness"])
-    return out
+    edges = sorted(edge_values, key=lambda e: (natural_key(e[0]), natural_key(e[1])))
+    _write(path, EDGE_METRICS_COLUMNS, ((u, v, edge_values[(u, v)]) for u, v in edges))
 
 
 def write_rankings(path: str | Path, rankings: Mapping[str, RankedClusters]) -> None:
     """One row per (metric, cluster)."""
-    handle, w = _writer(Path(path))
-    with handle:
-        w.writerow(RANKINGS_COLUMNS)
-        for metric, rc in rankings.items():
-            for cluster in rc.clusters:
-                w.writerow([metric, cluster.rank, _members_text(cluster.members),
-                            _fmt(cluster.value)])
-
-
-def read_rankings(path: str | Path) -> list[dict]:
-    rows = []
-    with Path(path).open(encoding="utf-8", newline="") as handle:
-        for rec in csv.DictReader(handle):
-            members = tuple(rec["members"].split(_MEMBER_SEP)) if rec["members"] else ()
-            rows.append({"metric": rec["metric"], "rank": int(rec["rank"]),
-                         "members": members, "value": float(rec["value"])})
-    return rows
+    _write(path, RANKINGS_COLUMNS,
+           ((metric, cluster.rank, _member_ids(cluster.members), cluster.value)
+            for metric, rc in rankings.items() for cluster in rc.clusters))
 
 
 def write_timeseries(path: str | Path, result: SimResult) -> None:
-    """One row per sample, byte for byte what ``csv.writer`` and ``_fmt`` write.
+    """One row per sample, byte for byte what ``csv.writer`` writes for these cells.
 
     Rows are built as plain strings, which is safe because router ids match
     ``[A-Za-z0-9_]+`` and ``repr`` of a float never needs quoting. The tick
@@ -132,96 +107,35 @@ def write_timeseries(path: str | Path, result: SimResult) -> None:
             handle.write("".join(lines))
 
 
-def read_timeseries(path: str | Path) -> dict[str, tuple[array, array]]:
-    """``{router: (times, delays)}``, two ``array('d')`` columns per router."""
-    out: dict[str, tuple[array, array]] = {}
-    with Path(path).open(encoding="utf-8", newline="") as handle:
-        for rec in csv.DictReader(handle):
-            times, delays = out.setdefault(rec["router_id"], (array("d"), array("d")))
-            times.append(float(rec["time_s"]))
-            delays.append(float(rec["delay_s"]))
-    return out
-
-
 def write_summary(path: str | Path, result: SimResult) -> None:
-    handle, w = _writer(Path(path))
-    with handle:
-        w.writerow(SUMMARY_COLUMNS)
-        for router, rs in result.routers.items():
-            w.writerow([router, _fmt(rs.final_delay), rs.forwarded, rs.dropped_attack,
-                        int(rs.attacked), int(rs.sink_adjacent)])
-
-
-def read_summary(path: str | Path) -> list[dict]:
-    rows = []
-    with Path(path).open(encoding="utf-8", newline="") as handle:
-        for rec in csv.DictReader(handle):
-            rows.append({
-                "router_id": rec["router_id"],
-                "final_delay_s": float(rec["final_delay_s"]),
-                "forwarded": int(rec["forwarded"]),
-                "dropped_attack": int(rec["dropped_attack"]),
-                "attacked": bool(int(rec["attacked"])),
-                "sink_adjacent": bool(int(rec["sink_adjacent"])),
-            })
-    return rows
+    _write(path, SUMMARY_COLUMNS,
+           ((router, rs.final_delay, rs.forwarded, rs.dropped_attack, rs.attacked,
+             rs.sink_adjacent) for router, rs in result.routers.items()))
 
 
 def write_accounting(path: str | Path, result: SimResult) -> None:
-    handle, w = _writer(Path(path))
-    with handle:
-        w.writerow(ACCOUNTING_COLUMNS)
-        w.writerow([result.generated, result.delivered_to_sink, result.dropped_by_attack,
-                    result.dropped_by_ttl, result.in_flight_at_end])
-
-
-def read_accounting(path: str | Path) -> dict[str, int]:
-    with Path(path).open(encoding="utf-8", newline="") as handle:
-        rec = next(csv.DictReader(handle))
-    return {k: int(v) for k, v in rec.items()}
+    _write(path, ACCOUNTING_COLUMNS,
+           [(result.generated, result.delivered_to_sink, result.dropped_by_attack,
+             result.dropped_by_ttl, result.in_flight_at_end)])
 
 
 def write_comparison(path: str | Path, comparisons: Mapping[str, RankingComparison]) -> None:
-    handle, w = _writer(Path(path))
-    with handle:
-        w.writerow(COMPARISON_COLUMNS)
-        for metric, c in comparisons.items():
-            w.writerow([metric, c.k, _fmt(c.overlap), _fmt(c.spearman),
-                        _MEMBER_SEP.join(c.metric_topk), _MEMBER_SEP.join(c.delay_topk)])
-
-
-def read_comparison(path: str | Path) -> list[dict]:
-    rows = []
-    with Path(path).open(encoding="utf-8", newline="") as handle:
-        for rec in csv.DictReader(handle):
-            rows.append({
-                "metric": rec["metric"],
-                "k": int(rec["k"]),
-                "overlap": float(rec["overlap"]),
-                "spearman": float(rec["spearman"]),
-                "metric_topk": tuple(rec["metric_topk"].split(_MEMBER_SEP)) if rec["metric_topk"] else (),
-                "delay_topk": tuple(rec["delay_topk"].split(_MEMBER_SEP)) if rec["delay_topk"] else (),
-            })
-    return rows
+    _write(path, COMPARISON_COLUMNS,
+           ((metric, c.k, c.overlap, c.spearman, c.metric_topk, c.delay_topk)
+            for metric, c in comparisons.items()))
 
 
 def write_delay_table(path: str | Path, routers: Sequence[str],
                       mean_delay: Mapping[str, Mapping[str, float]]) -> None:
     """Mean final delay with one row per router and one column per scenario label."""
-    handle, w = _writer(Path(path))
-    with handle:
-        w.writerow(["router_id", *mean_delay])
-        for r in routers:
-            w.writerow([r] + [_fmt(delays[r]) for delays in mean_delay.values()])
+    _write(path, {"router_id": str, **dict.fromkeys(mean_delay, float)},
+           ((r, *(delays[r] for delays in mean_delay.values())) for r in routers))
 
 
 def write_attack_sweep(path: str | Path, impacts: Sequence[OutageImpact]) -> None:
-    handle, w = _writer(Path(path))
-    with handle:
-        w.writerow(ATTACK_SWEEP_COLUMNS)
-        for rank, i in enumerate(impacts, start=1):
-            w.writerow([rank, i.router_id, _fmt(i.delivered), _fmt(i.delivery_loss_pct),
-                        _fmt(i.survivor_delay_shift_s)])
+    _write(path, ATTACK_SWEEP_COLUMNS,
+           ((rank, i.router_id, i.delivered, i.delivery_loss_pct, i.survivor_delay_shift_s)
+            for rank, i in enumerate(impacts, start=1)))
 
 
 def cluster_summary_text(title: str, rankings: Mapping[str, RankedClusters]) -> str:
@@ -230,10 +144,7 @@ def cluster_summary_text(title: str, rankings: Mapping[str, RankedClusters]) -> 
     width = max(len(m) for m in rankings) + 2
     for metric, rc in rankings.items():
         for cluster in rc.clusters:
-            members = ", ".join(
-                m if isinstance(m, str) else "-".join(m)
-                for m in sorted(cluster.members, key=lambda m: natural_key(str(m)))
-            )
+            members = ", ".join(_member_ids(cluster.members))
             value = cluster.value
             value_text = str(int(value)) if float(value).is_integer() else f"{value:.4f}"
             lines.append(f"{metric:<{width}} {cluster.rank:<5} ({members})  {value_text}")

@@ -1,4 +1,5 @@
 import filecmp
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -24,12 +25,16 @@ class TestCases:
 class TestMetricsCommand:
     def test_case3_rankings(self, tmp_path, capsys):
         assert run_cli("metrics", "--case", "3", "--out", str(tmp_path)) == 0
-        rows = reports.read_rankings(tmp_path / "metrics" / "rankings.csv")
+        rows = reports.read_csv(tmp_path / "metrics" / "rankings.csv",
+                                reports.RANKINGS_COLUMNS)
         top_bet = next(r for r in rows if r["metric"] == "betweenness" and r["rank"] == 1)
         assert set(top_bet["members"]) == {"6", "10"}
-        nodes = reports.read_node_metrics(tmp_path / "metrics" / "node_metrics.csv")
+        nodes = reports.read_csv(tmp_path / "metrics" / "node_metrics.csv",
+                                 reports.NODE_METRICS_COLUMNS)
         assert {r["node_id"] for r in nodes} >= {"1", "2", "6", "10", "14", "BA"}
-        edges = reports.read_edge_metrics(tmp_path / "metrics" / "edge_metrics.csv")
+        edges = {(r["u"], r["v"]): r["edge_betweenness"]
+                 for r in reports.read_csv(tmp_path / "metrics" / "edge_metrics.csv",
+                                           reports.EDGE_METRICS_COLUMNS)}
         assert ("6", "10") in edges
         assert "(6, 10)" in capsys.readouterr().out
 
@@ -87,20 +92,23 @@ class TestSimulateCommand:
                        "--seeds", "1,2,3", "--duration", "40",
                        "--out", str(tmp_path)) == 0
         for seed in ("1", "2", "3"):
-            rows = reports.read_summary(tmp_path / "runs" / "dos-5" / seed / "summary.csv")
+            rows = reports.read_csv(tmp_path / "runs" / "dos-5" / seed / "summary.csv",
+                                    reports.SUMMARY_COLUMNS)
             attacked = {r["router_id"] for r in rows if r["attacked"]}
             assert attacked == {"5"}
 
     def test_ddos_flags_both_targets(self, tmp_path):
         assert run_cli("simulate", "--case", "2", "--scenario", "ddos:2,6",
                        "--seeds", "1", "--duration", "40", "--out", str(tmp_path)) == 0
-        rows = reports.read_summary(tmp_path / "runs" / "ddos-2,6" / "1" / "summary.csv")
+        rows = reports.read_csv(tmp_path / "runs" / "ddos-2,6" / "1" / "summary.csv",
+                                reports.SUMMARY_COLUMNS)
         assert {r["router_id"] for r in rows if r["attacked"]} == {"2", "6"}
 
     def test_accounting_matches_result_identity(self, tmp_path):
         assert run_cli("simulate", "--case", "2", "--scenario", "stable",
                        "--seeds", "4", "--duration", "60", "--out", str(tmp_path)) == 0
-        acc = reports.read_accounting(tmp_path / "runs" / "stable" / "4" / "accounting.csv")
+        [acc] = reports.read_csv(tmp_path / "runs" / "stable" / "4" / "accounting.csv",
+                                 reports.ACCOUNTING_COLUMNS)
         assert acc["generated"] == (acc["delivered_to_sink"] + acc["dropped_by_attack"]
                                     + acc["dropped_by_ttl"] + acc["in_flight_at_end"])
 
@@ -156,9 +164,12 @@ class TestSimulateCommand:
     def test_timeseries_round_trips(self, tmp_path):
         assert run_cli("simulate", "--case", "3", "--scenario", "stable",
                        "--seeds", "2", "--duration", "30", "--out", str(tmp_path)) == 0
-        series = reports.read_timeseries(tmp_path / "runs" / "stable" / "2" / "timeseries.csv")
-        assert set(series) == {"1", "2", "6", "10", "14"}
-        assert all(len(times) == len(delays) > 0 for times, delays in series.values())
+        rows = reports.read_csv(tmp_path / "runs" / "stable" / "2" / "timeseries.csv",
+                                reports.TIMESERIES_COLUMNS)
+        samples = Counter(row["router_id"] for row in rows)
+        assert set(samples) == {"1", "2", "6", "10", "14"}
+        assert len(set(samples.values())) == 1  # every router sampled on the same ticks
+        assert all(type(row["time_s"]) is type(row["delay_s"]) is float for row in rows)
 
     def test_too_many_monitor_samples_fails_before_any_run(self, tmp_path, capsys):
         rc = run_cli("simulate", "--case", "3", "--duration", "1e12", "--out", str(tmp_path))
@@ -174,7 +185,8 @@ class TestCompareCommand:
         assert run_cli("compare", "--case", "3", "--scenario", "stable",
                        "--seeds", "1..3", "--duration", "120", "--k", "2",
                        "--out", str(tmp_path)) == 0
-        rows = reports.read_comparison(tmp_path / "compare" / "comparison.csv")
+        rows = reports.read_csv(tmp_path / "compare" / "comparison.csv",
+                                reports.COMPARISON_COLUMNS)
         assert {r["metric"] for r in rows} == {
             "betweenness", "eccentricity", "eigenvector", "edge_betweenness"}
         for row in rows:

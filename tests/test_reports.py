@@ -2,8 +2,10 @@ import csv
 import dataclasses
 import io
 import math
+import string
 from array import array
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,9 +19,10 @@ BASE = run(parse_topology(MM1_TEXT, name="mm1"), SimConfig(duration=5.0, seed=1)
 
 # Values whose text is easy to get wrong, drawn often so that delays repeat
 # within a router, as in real runs.
-SPECIAL = [0.0, -0.0, 5e-324, 1e-05, 1e16, math.inf, 0.5]
+SPECIAL = [0.0, -0.0, 5e-324, 1e-05, 1e16, math.inf, math.nan, 0.5]
 floats = st.one_of(st.sampled_from(SPECIAL), st.floats())
-router_ids = st.from_regex(r"[A-Za-z0-9_]+", fullmatch=True)
+# Router ids match [A-Za-z0-9_]+.
+router_ids = st.text(string.ascii_letters + string.digits + "_", min_size=1)
 
 
 @st.composite
@@ -58,6 +61,49 @@ def test_write_timeseries_matches_csv_writer(tmp_path_factory, columns):
 def test_real_run_reads_back_exactly(tmp_path):
     path = tmp_path / "timeseries.csv"
     reports.write_timeseries(path, BASE)
-    back = reports.read_timeseries(path)
-    assert back == {r: (BASE.tick_times, delays) for r, delays in BASE.tick_delays.items()}
-    assert all(column.typecode == "d" for columns in back.values() for column in columns)
+    back = {}
+    for row in reports.read_csv(path, reports.TIMESERIES_COLUMNS):
+        times, delays = back.setdefault(row["router_id"], ([], []))
+        times.append(row["time_s"])
+        delays.append(row["delay_s"])
+    assert back == {r: (list(BASE.tick_times), list(delays))
+                    for r, delays in BASE.tick_delays.items()}
+    assert all(type(x) is float for columns in back.values() for column in columns
+               for x in column)
+
+
+TABLES = sorted(name for name in dir(reports) if name.endswith("_COLUMNS"))
+CELLS = {
+    str: router_ids,
+    float: floats,
+    int: st.integers(),
+    bool: st.booleans(),
+    tuple: st.lists(router_ids, max_size=4).map(tuple),
+}
+
+
+def cell_text(value):
+    """Floats compare by repr, so -0.0 differs from 0.0 and nan equals nan."""
+    return repr(value) if isinstance(value, float) else value
+
+
+@pytest.mark.parametrize("table", TABLES)
+@given(data=st.data())
+@settings(max_examples=50)
+def test_every_table_round_trips(tmp_path_factory, table, data):
+    columns = getattr(reports, table)
+    rows = data.draw(st.lists(st.tuples(*(CELLS[kind] for kind in columns.values())),
+                              max_size=10))
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    reports._write(path, columns, rows)
+    back = reports.read_csv(path, columns)
+    assert [[cell_text(row[name]) for name in columns] for row in back] == \
+        [[cell_text(cell) for cell in row] for row in rows]
+    assert all(type(row[name]) is kind for row in back for name, kind in columns.items())
+
+
+def test_read_csv_rejects_another_files_header(tmp_path):
+    path = tmp_path / "summary.csv"
+    reports.write_summary(path, BASE)
+    with pytest.raises(ValueError, match="header"):
+        reports.read_csv(path, reports.ACCOUNTING_COLUMNS)

@@ -144,14 +144,14 @@ class Scenario:
             if rest:
                 raise ValueError("stable scenario takes no targets")
             return cls.stable()
-        if head == "dos":
-            if not rest:
-                raise ValueError("dos scenario needs a target, e.g. dos:5")
-            return cls.dos(rest, attack_forwarding_probability)
-        if head == "ddos":
-            targets = [p for p in rest.split(",") if p]
-            if not targets:
-                raise ValueError("ddos scenario needs targets, e.g. ddos:1,3")
+        if head in ("dos", "ddos"):
+            targets = rest.split(",")
+            if "" in targets:
+                raise ValueError(f"empty target in scenario '{text}' "
+                                 "(expected dos:<id> | ddos:<id>,<id>[,...])")
+            if head == "dos":
+                return cls(kind="dos", targets=tuple(targets),
+                           attack_forwarding_probability=attack_forwarding_probability)
             return cls.ddos(targets, attack_forwarding_probability)
         raise ValueError(f"unknown scenario '{text}' (expected stable | dos:<id> | ddos:<id>,...)")
 

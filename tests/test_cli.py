@@ -145,6 +145,19 @@ class TestSimulateCommand:
             "error: scenario targets must be distinct")
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("scenario, message", [
+        ("ddos:,3", "empty target"),
+        ("ddos:3,", "empty target"),
+        ("ddos:1,,2", "empty target"),
+        ("dos:3,4", "dos scenario takes exactly one target"),
+    ])
+    def test_malformed_targets_rejected(self, tmp_path, capsys, scenario, message):
+        rc = run_cli("simulate", "--case", "2", "--scenario", scenario,
+                     "--duration", "2", "--out", str(tmp_path))
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "runs").exists()
+
     @pytest.mark.parametrize("option, field", [
         ("--duration", "duration"),
         ("--mean-packet-size", "mean_packet_size"),

@@ -151,7 +151,8 @@ class TestScenario:
         for text in ("stable", "dos:5", "ddos:2,6"):
             assert Scenario.from_string(text).label == text
 
-    @pytest.mark.parametrize("bad", ["dos:", "ddos:", "flood:3", "stable:1", "dos", "ddos:3,3"])
+    @pytest.mark.parametrize("bad", ["dos:", "ddos:", "flood:3", "stable:1", "dos", "ddos:3,3",
+                                     "ddos:,3", "ddos:3,", "ddos:1,,2", "dos:3,4"])
     def test_bad_grammar_rejected(self, bad):
         with pytest.raises(ValueError):
             Scenario.from_string(bad)

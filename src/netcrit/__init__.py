@@ -6,7 +6,6 @@ inject DoS/DDoS disturbances, and compares the two views of criticality.
 """
 
 from .analysis import (
-    DelayRanking,
     RankingComparison,
     compare_rankings,
     rank_by_delay,

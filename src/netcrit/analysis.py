@@ -1,7 +1,9 @@
 """Delay-based criticality rankings and their comparison to metric rankings.
 
-Routers directly linked to the sink are excluded from delay rankings: their
-delay mirrors the sink's and says nothing about the topology. Top-k overlap
+Routers directly linked to the sink are left out of delay rankings: their
+delay mirrors the sink's and says nothing about the topology. The topology
+alone fixes which routers those are (``Topology.sink_adjacent_routers``), so
+a delay ranking is a plain ``RankedClusters`` over the rest. Top-k overlap
 is cluster-aware, so a tie cluster straddling position k contributes
 fractionally rather than by arbitrary tie breaking.
 
@@ -19,21 +21,6 @@ from typing import Iterable, Mapping, Sequence
 from .metrics import TIE_EPSILON, Direction, RankedClusters, rank_with_ties
 from .simulator import SimResult
 from .topology import Topology, natural_key
-
-EXCLUDED_SINK_ADJACENT = "adjacent to sink"
-
-
-@dataclass(frozen=True)
-class DelayRanking:
-    """Tie-clustered ranking of routers by mean final delay, highest first.
-
-    ``excluded`` maps each left-out router to the reason ("adjacent to
-    sink"); excluded routers never appear in the clusters.
-    """
-
-    clusters: RankedClusters
-    excluded: Mapping[str, str]
-
 
 @dataclass(frozen=True)
 class RankingComparison:
@@ -70,11 +57,11 @@ def ranked_universe(t: Topology, k: int = 1) -> list[str]:
 
 def rank_by_delay(
     results: Sequence[SimResult], t: Topology, tie_epsilon: float = TIE_EPSILON
-) -> DelayRanking:
-    """Rank routers by final delay averaged across seeds.
+) -> RankedClusters:
+    """Rank routers by final delay averaged across seeds, highest first.
 
-    All results must come from the same topology ``t``. Sink-adjacent
-    routers are excluded before ranking.
+    All results must come from the same topology ``t``. The ranking covers
+    ``ranked_universe(t)``: sink-adjacent routers are left out.
     """
     if not results:
         raise ValueError("need at least one simulation result")
@@ -85,10 +72,8 @@ def rank_by_delay(
                 f"result for topology '{r.topology_name}' does not match '{t.name}'"
             )
     universe = ranked_universe(t)
-    clusters = rank_with_ties(mean_final_delays(results, universe),
-                              Direction.HIGHER_IS_CRITICAL, tie_epsilon)
-    excluded = {router: EXCLUDED_SINK_ADJACENT for router in t.sink_adjacent_routers()}
-    return DelayRanking(clusters=clusters, excluded=excluded)
+    return rank_with_ties(mean_final_delays(results, universe),
+                          Direction.HIGHER_IS_CRITICAL, tie_epsilon)
 
 
 def mean_final_delays(runs: Sequence[SimResult], routers: Iterable[str]) -> dict[str, float]:
@@ -217,14 +202,14 @@ def spearman_from_clusters(a: RankedClusters, b: RankedClusters) -> float:
 
 
 def compare_rankings(
-    metric_ranks: RankedClusters, delay_rank: DelayRanking, k: int
+    metric_ranks: RankedClusters, delay_ranks: RankedClusters, k: int
 ) -> RankingComparison:
     """Overlap@k and Spearman between a metric ranking and a delay ranking.
 
-    Both rankings must cover the same router universe (delay exclusions
-    already applied on both sides).
+    Both rankings must cover the same router universe, such as
+    ``ranked_universe(t)``, which leaves out the sink-adjacent routers.
     """
-    universe = delay_rank.clusters.all_members()
+    universe = delay_ranks.all_members()
     if metric_ranks.all_members() != universe:
         raise ValueError(
             "rankings cover different universes: "
@@ -233,8 +218,8 @@ def compare_rankings(
     _check_k(k, len(universe))
     return RankingComparison(
         k=k,
-        overlap=overlap_at_k(metric_ranks, delay_rank.clusters, k),
-        spearman=spearman_from_clusters(metric_ranks, delay_rank.clusters),
+        overlap=overlap_at_k(metric_ranks, delay_ranks, k),
+        spearman=spearman_from_clusters(metric_ranks, delay_ranks),
         metric_topk=topk_members(metric_ranks, k),
-        delay_topk=topk_members(delay_rank.clusters, k),
+        delay_topk=topk_members(delay_ranks, k),
     )

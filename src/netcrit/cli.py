@@ -71,7 +71,6 @@ def _add_sim_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seeds", "--seed", dest="seeds", default="0",
                    help="comma-separated list or inclusive range a..b (default: 0)")
     p.add_argument("--duration", type=float, required=True, help="simulated seconds")
-    p.add_argument("--mean-packet-size", type=float, default=SimConfig.mean_packet_size)
     p.add_argument("--mean-interarrival", type=float, default=SimConfig.mean_interarrival)
     p.add_argument("--service-rate", type=float, default=SimConfig.router_service_rate,
                    help="router service rate in packets/second")
@@ -238,7 +237,6 @@ class RunManifest:
     seeds: tuple[int, ...]
     duration: float
     out_dir: Path
-    mean_packet_size: float = SimConfig.mean_packet_size
     mean_interarrival: float = SimConfig.mean_interarrival
     router_service_rate: float = SimConfig.router_service_rate
     monitor_interval: float = SimConfig.monitor_interval
@@ -263,7 +261,6 @@ class RunManifest:
         return SimConfig(
             duration=self.duration,
             seed=seed,
-            mean_packet_size=self.mean_packet_size,
             mean_interarrival=self.mean_interarrival,
             router_service_rate=self.router_service_rate,
             monitor_interval=self.monitor_interval,
@@ -306,7 +303,6 @@ def _manifest_from_args(args, scenarios: tuple[Scenario, ...]) -> RunManifest:
         seeds=parse_seeds(args.seeds),
         duration=args.duration,
         out_dir=Path(args.out),
-        mean_packet_size=args.mean_packet_size,
         mean_interarrival=args.mean_interarrival,
         router_service_rate=args.service_rate,
         monitor_interval=args.monitor_interval,
@@ -360,7 +356,7 @@ def cmd_compare(args) -> int:
     reports.write_comparison(out / "comparison.csv", comparisons)
     text = reports.comparison_report_text(
         f"{t.name}: {scenario.label} over seeds {args.seeds}, k={args.k}",
-        comparisons, delay.excluded,
+        comparisons, t.sink_adjacent_routers(),
     )
     (out / "report.txt").write_text(text, encoding="utf-8")
     print(text, end="")

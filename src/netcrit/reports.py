@@ -154,13 +154,12 @@ def cluster_summary_text(title: str, rankings: Mapping[str, RankedClusters]) -> 
 def comparison_report_text(
     title: str,
     comparisons: Mapping[str, RankingComparison],
-    excluded: Mapping[str, str],
+    sink_adjacent: Collection[str],
 ) -> str:
+    """The compare report; it lists ``sink_adjacent`` as excluded from the delay ranking."""
     lines = [title]
-    if excluded:
-        excl = ", ".join(f"{r} ({reason})"
-                         for r, reason in sorted(excluded.items(),
-                                                 key=lambda kv: natural_key(kv[0])))
+    if sink_adjacent:
+        excl = ", ".join(f"{r} (adjacent to sink)" for r in sorted(sink_adjacent, key=natural_key))
         lines.append(f"excluded from delay ranking: {excl}")
     width = max(len(m) for m in comparisons) + 2
     for metric, c in comparisons.items():

@@ -5,8 +5,9 @@ times and exponential sizes into its adjacent router. Routers are
 single-server FIFO queues with exponential service; a served packet is
 forwarded to a uniformly chosen eligible neighbor, never back on its arrival
 link unless that is the only option. The sink absorbs packets on arrival.
-Packet size is sampled and recorded but does not affect service time, which
-is specified in packets per second.
+Packet size is drawn with the fixed mean ``MEAN_PACKET_SIZE`` and summed into
+``generated_size_total``; nothing else reads it, and service time, specified
+in packets per second, does not depend on it.
 
 A DoS/DDoS disturbance collapses the forwarding probability of the targeted
 routers: an arriving packet is admitted with that probability and otherwise
@@ -52,6 +53,9 @@ EVENT_CAP = 100_000_000
 # 400 MB. Checked before a run starts, never by allocating.
 MAX_MONITOR_SAMPLES = 50_000_000
 
+# Mean of the exponential packet-size draw, in bytes.
+MEAN_PACKET_SIZE = 100.0
+
 
 def sample_exponential(draw: Callable[[], float], mean: float) -> float:
     """Inverse-CDF exponential draw: -mean * ln(1 - u) for one uniform u = draw()."""
@@ -71,20 +75,20 @@ class SimConfig:
 
     ``ttl`` is a hop budget (0 = unlimited). Inter-arrival gaps are plain
     exponential draws, so each generator is a Poisson source; the monitor
-    samples every router on a fixed ``monitor_interval`` tick.
+    samples every router on a fixed ``monitor_interval`` tick. Packet size is
+    not a setting: its mean is the constant ``MEAN_PACKET_SIZE``.
     """
 
     duration: float
     seed: int = 0
-    mean_packet_size: float = 100.0
     mean_interarrival: float = 2.0
     router_service_rate: float = 2.2
     monitor_interval: float = 0.5
     ttl: int = 0
 
     def __post_init__(self):
-        for name in ("duration", "mean_packet_size", "mean_interarrival",
-                     "router_service_rate", "monitor_interval"):
+        for name in ("duration", "mean_interarrival", "router_service_rate",
+                     "monitor_interval"):
             if not _positive_finite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite and > 0")
         if not 0 <= self.seed < 2**64:
@@ -212,14 +216,6 @@ class SimResult:
     interarrival_total: float
     interarrival_draws: int
 
-    @property
-    def mean_packet_size_observed(self) -> float:
-        return self.generated_size_total / self.generated if self.generated else 0.0
-
-    @property
-    def mean_interarrival_observed(self) -> float:
-        return self.interarrival_total / self.interarrival_draws if self.interarrival_draws else 0.0
-
 
 # Calendar event kinds, in no particular priority: ties on the calendar break
 # by insertion sequence alone. Arrivals are not calendar events.
@@ -328,7 +324,7 @@ def run(
             draw = gen_random[node]
             size = 0.0
             while size <= 0.0:  # sizes must be strictly positive
-                size = sample_exponential(draw, config.mean_packet_size)
+                size = sample_exponential(draw, MEAN_PACKET_SIZE)
             size_total += size
             targets = gen_targets[node]
             if len(targets) == 1:

@@ -30,7 +30,7 @@ class TopologyError(ValueError):
 
 def natural_key(node_id: str):
     """Sort key that puts integer-like ids in numeric order ("2" before "10")."""
-    if node_id.isdigit():
+    if node_id.isdecimal():
         return (0, int(node_id), node_id)
     return (1, 0, node_id)
 

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from netcrit.simulator import Scenario
 from netcrit.topology import NodeRole, Topology, parse_topology, validate_topology
 
 MM1_TEXT = "node S sink\nnode R router\nnode G generator\nedge S R\nedge R G\n"
@@ -75,3 +76,16 @@ def topologies(draw, max_routers: int = 6, max_generators: int = 3,
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     return make_random_topology(random.Random(seed), max_routers, max_generators,
                                 multihome_prob=multihome_prob)
+
+
+@st.composite
+def scenarios(draw, ids):
+    """A scenario built through ``Scenario.stable``, ``.dos`` or ``.ddos``,
+    its targets drawn from the strategy ``ids``."""
+    kind = draw(st.sampled_from(["stable", "dos", "ddos"]))
+    if kind == "stable":
+        return Scenario.stable()
+    p = draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    if kind == "dos":
+        return Scenario.dos(draw(ids), p)
+    return Scenario.ddos(draw(st.lists(ids, min_size=1, max_size=4, unique=True)), p)

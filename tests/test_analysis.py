@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netcrit.analysis import (
-    DelayRanking,
     compare_rankings,
     midranks,
     overlap_at_k,
@@ -57,21 +56,21 @@ class TestRankByDelay:
     def test_top3_sorted(self, hub_topology):
         res = fake_result(hub_topology, {"2": 500, "5": 900, "11": 1200, "9": 1000})
         ranking = rank_by_delay([res], hub_topology)
-        assert set(topk_members(ranking.clusters, 3)) == {"11", "9", "5"}
-        assert ranking.excluded == {"H": "adjacent to sink"}
+        assert set(topk_members(ranking, 3)) == {"11", "9", "5"}
+        assert ranking.all_members() == {"2", "5", "9", "11"}  # H is sink-adjacent
 
     def test_case2_sink_adjacent_excluded(self):
         t = builtin_case(2)
         res = fake_result(t, {r: float(i) for i, r in enumerate(t.router_ids)})
         ranking = rank_by_delay([res], t)
-        assert set(ranking.excluded) == {"1", "2"}
-        assert ranking.clusters.all_members().isdisjoint({"1", "2"})
+        assert t.sink_adjacent_routers() == {"1", "2"}
+        assert ranking.all_members() == set(t.router_ids) - {"1", "2"}
 
     def test_mean_aggregation_across_seeds(self, hub_topology):
         a = fake_result(hub_topology, {"2": 10, "5": 0, "9": 0, "11": 0})
         b = fake_result(hub_topology, {"2": 30, "5": 4, "9": 0, "11": 0})
         ranking = rank_by_delay([a, b], hub_topology)
-        top = ranking.clusters.clusters[0]
+        top = ranking.clusters[0]
         assert top.members == {"2"}
         assert top.value == pytest.approx(20.0)
 
@@ -139,7 +138,7 @@ class TestCompare:
         delays = {"2": 5.0, "5": 4.0, "9": 3.0, "11": 2.0}
         ranking = rank_by_delay([fake_result(hub_topology, delays)], hub_topology)
         for k in (1, 2, 3, 4):
-            assert "H" not in topk_members(ranking.clusters, k)
+            assert "H" not in topk_members(ranking, k)
 
 
 class TestRankStatistics:

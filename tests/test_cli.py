@@ -3,7 +3,10 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import scenarios, topologies
 from netcrit import cli, reports
 from netcrit.cli import MAX_SEEDS, RunManifest, main
 from netcrit.simulator import MAX_MONITOR_SAMPLES, Scenario
@@ -87,6 +90,21 @@ class TestSimulateCommand:
             right = tmp_path / "b" / "runs" / "stable" / "7" / name
             assert filecmp.cmp(left, right, shallow=False), name
 
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_same_seed_same_bytes_random_topologies(self, tmp_path_factory, data):
+        t = data.draw(topologies(multihome_prob=0.5))
+        scenario = data.draw(scenarios(st.sampled_from(t.router_ids)))
+        seed = data.draw(st.integers(0, 2**32))
+        dirs = [tmp_path_factory.mktemp("run") for _ in range(2)]
+        for out in dirs:
+            cli.execute_manifest(RunManifest(topology=t, scenarios=(scenario,), seeds=(seed,),
+                                             duration=30.0, out_dir=out))
+        run_dir = Path("runs") / scenario.label.replace(":", "-") / str(seed)
+        for name in ("timeseries.csv", "summary.csv", "accounting.csv"):
+            left, right = (out / run_dir / name for out in dirs)
+            assert left.read_bytes() == right.read_bytes(), name
+
     def test_dos_flags_target_in_every_summary(self, tmp_path):
         assert run_cli("simulate", "--case", "1", "--scenario", "dos:5",
                        "--seeds", "1,2,3", "--duration", "40",
@@ -150,6 +168,7 @@ class TestSimulateCommand:
         ("ddos:3,", "empty target"),
         ("ddos:1,,2", "empty target"),
         ("dos:3,4", "dos scenario takes exactly one target"),
+        ("ddos:²,1", "scenario targets unknown routers: ²"),  # '²' is a digit, not a decimal
     ])
     def test_malformed_targets_rejected(self, tmp_path, capsys, scenario, message):
         rc = run_cli("simulate", "--case", "2", "--scenario", scenario,
@@ -160,7 +179,6 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("option, field", [
         ("--duration", "duration"),
-        ("--mean-packet-size", "mean_packet_size"),
         ("--mean-interarrival", "mean_interarrival"),
         ("--service-rate", "router_service_rate"),
         ("--monitor-interval", "monitor_interval"),

@@ -16,7 +16,11 @@ Conventions, fixed for the whole package:
 
 Node betweenness, edge betweenness and eccentricity come from one shared
 shortest-path pass per topology (one BFS per source), cached for the last
-topology seen.
+topology seen. The pass runs in numpy over blocks of ``SOURCE_BLOCK`` sources,
+one BFS level at a time, so its working set grows with the block times the
+edge count rather than with n^2. It still adds every sum's terms in the
+order of a queue-based BFS over one source at a time, so each float is
+bit-identical to that plain pass, which the tests keep as the reference.
 """
 
 from __future__ import annotations
@@ -44,6 +48,11 @@ class PowerIterationError(RuntimeError):
         self.residual = residual
 
 
+# Sources per block of the shortest-path pass: its arrays hold O(SOURCE_BLOCK
+# x edges) entries at once, not O(nodes^2).
+SOURCE_BLOCK = 16
+
+
 @lru_cache(maxsize=1)
 def _shortest_paths(t: Topology):
     """One pass of Brandes' accumulation over every source, on integer ids.
@@ -57,46 +66,101 @@ def _shortest_paths(t: Topology):
     over ordered pairs; callers halve them for undirected graphs) and each
     node's eccentricity, the distance of the last node its BFS reaches or
     None when it does not reach every node.
+
+    The sources go in blocks of ``SOURCE_BLOCK`` through ``_accumulate``,
+    which runs their BFSs and sweeps level by level in numpy. Every float is
+    the one a queue-based pass over one source at a time gives (kept in the
+    tests as the reference), because each sum adds the same terms in the
+    same order; ``_accumulate`` says how.
     """
     adj = t.adjacency
     nodes = list(adj)
     index = {v: i for i, v in enumerate(nodes)}
     slot: dict[tuple[str, str], int] = {}
-    nbrs = [[(index[w], slot.setdefault(edge_key(v, w), len(slot))) for w in adj[v]]
-            for v in nodes]
+    nbr = np.array([index[w] for v in nodes for w in adj[v]], dtype=np.intp)
+    eid = np.array([slot.setdefault(edge_key(v, w), len(slot)) for v in nodes for w in adj[v]],
+                   dtype=np.intp)
     n = len(nodes)
-    node_acc = [0.0] * n
-    edge_acc = [0.0] * len(slot)
-    ecc = []
+    start = np.zeros(n + 1, dtype=np.intp)
+    start[1:] = np.cumsum([len(adj[v]) for v in nodes])
+    node_acc = np.zeros(n)
+    edge_acc = np.zeros(len(slot))
+    ecc: list[int | None] = []
+    for first in range(0, n, SOURCE_BLOCK):
+        sources = np.arange(first, min(first + SOURCE_BLOCK, n))
+        ecc += _accumulate(sources, start, nbr, eid, node_acc, edge_acc)
+    return tuple(nodes), tuple(node_acc.tolist()), tuple(slot), tuple(edge_acc.tolist()), tuple(ecc)
 
-    for s in range(n):
-        dist = [-1] * n
-        dist[s] = 0
-        sigma = [0.0] * n
-        sigma[s] = 1.0
-        preds: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        order = [s]
-        for v in order:  # the BFS queue: the loop reads what it appends
-            dw = dist[v] + 1
-            for w, e in nbrs[v]:
-                if dist[w] < 0:
-                    dist[w] = dw
-                    order.append(w)
-                if dist[w] == dw:
-                    sigma[w] += sigma[v]
-                    preds[w].append((v, e))
-        ecc.append(dist[order[-1]] if len(order) == n else None)
-        delta = [0.0] * n
-        for w in reversed(order):
-            coeff = (1.0 + delta[w]) / sigma[w]
-            for v, e in preds[w]:
-                c = sigma[v] * coeff
-                edge_acc[e] += c
-                delta[v] += c
-            if w != s:
-                node_acc[w] += delta[w]
 
-    return tuple(nodes), tuple(node_acc), tuple(slot), tuple(edge_acc), tuple(ecc)
+def _accumulate(sources: np.ndarray, start: np.ndarray, nbr: np.ndarray, eid: np.ndarray,
+                node_acc: np.ndarray, edge_acc: np.ndarray) -> list[int | None]:
+    """Add the Brandes sums of one block of sources into ``node_acc`` and
+    ``edge_acc``; return each source's eccentricity.
+
+    The graph is in CSR form: node v's neighbours are ``nbr[start[v]:start[v+1]]``
+    in adjacency order, and ``eid`` holds each entry's edge slot. Per-source
+    state is one flat array of ``len(sources) * n`` entries, row i for the
+    i-th source, so one numpy call serves the whole block.
+
+    BFS, one level at a time: a level's candidate pairs (v, w) come in
+    (frontier position, adjacency) order, which is the order a FIFO queue
+    visits them. A new node's BFS position is its first occurrence among the
+    candidates, found with ``np.minimum.at``, which does not depend on the
+    order it sees them in. Path counts are scattered with ``np.bincount``,
+    which adds its weights in input order, so each sigma[w] is the queue
+    pass's sum from 0.0. The sweep goes from the deepest level up: each
+    level's pairs are sorted stably by descending BFS position of w, the
+    queue pass's reversed order, and ``bincount`` adds their terms into
+    delta. Every v gets all of its terms from one level, starting from 0.0.
+    Edge sums are shared by every source, so their terms are applied with
+    ``np.add.at`` after the sweep, sorted stably by source. Node sums add one
+    row per source, in source order, with the source's own entry zeroed.
+    """
+    b, n = len(sources), len(node_acc)
+    size = b * n
+    roots = np.arange(b) * n + sources
+    dist = np.full(size, -1, dtype=np.intp)
+    dist[roots] = 0
+    sigma = np.zeros(size)
+    sigma[roots] = 1.0
+    pos = np.zeros(size, dtype=np.intp)  # discovery order within the node's level
+    first_seen = np.full(size, np.iinfo(np.intp).max, dtype=np.intp)
+    levels = []
+    frontier, fnode = roots, sources  # flat index and node id of each frontier entry
+    depth = 0
+    while frontier.size:
+        depth += 1
+        deg = start[fnode + 1] - start[fnode]
+        ends = np.cumsum(deg)
+        k = np.arange(ends[-1]) + np.repeat(start[fnode] - ends + deg, deg)
+        v = np.repeat(frontier, deg)
+        w = np.repeat(frontier - fnode, deg) + nbr[k]
+        fresh = np.flatnonzero(dist[w] < 0)
+        np.minimum.at(first_seen, w[fresh], fresh)
+        new = fresh[first_seen[w[fresh]] == fresh]
+        frontier, fnode = w[new], nbr[k[new]]
+        dist[frontier] = depth
+        pos[frontier] = np.arange(new.size)
+        dag = np.flatnonzero(dist[w] == depth)
+        v, w, e = v[dag], w[dag], eid[k[dag]]
+        sigma += np.bincount(w, weights=sigma[v], minlength=size)
+        order = np.argsort(-pos[w], kind="stable")
+        levels.append((v[order], w[order], e[order]))
+
+    delta = np.zeros(size)
+    swept = []
+    for v, w, e in reversed(levels):
+        c = sigma[v] * ((1.0 + delta[w]) / sigma[w])
+        delta += np.bincount(v, weights=c, minlength=size)
+        swept.append((v // n, e, c))
+    row, e, c = (np.concatenate(parts) for parts in zip(*swept))
+    by_source = np.argsort(row, kind="stable")
+    np.add.at(edge_acc, e[by_source], c[by_source])
+    delta[roots] = 0.0
+    for dependencies in delta.reshape(b, n):
+        node_acc += dependencies
+    dist = dist.reshape(b, n)
+    return [int(d) if r else None for d, r in zip(dist.max(axis=1), (dist >= 0).all(axis=1))]
 
 
 def betweenness_centrality(t: Topology) -> dict[str, float]:
@@ -133,10 +197,13 @@ def eigenvector_centrality(
 
     The result x satisfies ``max|A x - lambda x| <= 10 * tol`` with lambda the
     Rayleigh quotient. Raises PowerIterationError if that residual bound is
-    not reached within ``max_iter`` iterations.
+    not reached within ``max_iter`` iterations, and ValueError unless ``tol``
+    is finite and > 0 and ``max_iter`` >= 1.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and > 0")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     ids = [nid for nid, _ in t.nodes]
     index = {nid: i for i, nid in enumerate(ids)}
     n = len(ids)
@@ -153,7 +220,8 @@ def _power_iteration(a: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     # guarantees convergence on bipartite graphs (trees), where the raw
     # adjacency spectrum is symmetric and plain power iteration oscillates.
     n = a.shape[0]
-    m = a + np.eye(n)
+    m = a.copy()
+    m.flat[:: n + 1] += 1.0
     x = np.full(n, 1.0 / np.sqrt(n))
     residual = np.inf
     for _ in range(max_iter):

@@ -4,6 +4,11 @@ Betweenness is recomputed by explicitly enumerating every shortest path
 (BFS layering plus backtracking) and counting memberships; eccentricity by
 Floyd-Warshall; the eigenvector by a dense symmetric eigendecomposition.
 These stay deliberately naive and separate from the package code paths.
+
+``reference_shortest_paths`` is the one exception: the plain queue-based
+Brandes pass, one source at a time, that fixes the order of every float
+addition. The package's level-synchronous pass must return exactly its
+tuples.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from collections import deque
 
 import numpy as np
 
-from netcrit.topology import edge_key
+from netcrit.topology import Topology, edge_key
 
 
 def all_shortest_paths(adj, s, t):
@@ -121,3 +126,51 @@ def dense_dominant_eigenvector(adj):
     x = np.abs(x)  # connected graph: entries share one sign, strip roundoff
     x /= np.linalg.norm(x)
     return {v: float(x[idx[v]]) for v in nodes}
+
+
+def reference_shortest_paths(t: Topology):
+    """Brandes' accumulation over every source in pure Python, one BFS each.
+
+    Returns the same five tuples as ``netcrit.metrics._shortest_paths``:
+    node ids, node sums, edge keys, edge sums (over ordered pairs) and each
+    node's eccentricity, or None when its BFS does not reach every node.
+    """
+    adj = t.adjacency
+    nodes = list(adj)
+    index = {v: i for i, v in enumerate(nodes)}
+    slot: dict[tuple[str, str], int] = {}
+    nbrs = [[(index[w], slot.setdefault(edge_key(v, w), len(slot))) for w in adj[v]]
+            for v in nodes]
+    n = len(nodes)
+    node_acc = [0.0] * n
+    edge_acc = [0.0] * len(slot)
+    ecc = []
+
+    for s in range(n):
+        dist = [-1] * n
+        dist[s] = 0
+        sigma = [0.0] * n
+        sigma[s] = 1.0
+        preds: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        order = [s]
+        for v in order:  # the BFS queue: the loop reads what it appends
+            dw = dist[v] + 1
+            for w, e in nbrs[v]:
+                if dist[w] < 0:
+                    dist[w] = dw
+                    order.append(w)
+                if dist[w] == dw:
+                    sigma[w] += sigma[v]
+                    preds[w].append((v, e))
+        ecc.append(dist[order[-1]] if len(order) == n else None)
+        delta = [0.0] * n
+        for w in reversed(order):
+            coeff = (1.0 + delta[w]) / sigma[w]
+            for v, e in preds[w]:
+                c = sigma[v] * coeff
+                edge_acc[e] += c
+                delta[v] += c
+            if w != s:
+                node_acc[w] += delta[w]
+
+    return tuple(nodes), tuple(node_acc), tuple(slot), tuple(edge_acc), tuple(ecc)

@@ -20,7 +20,7 @@ import random
 from pathlib import Path
 
 import pytest
-from conftest import make_random_topology
+from conftest import chorded_ring_text, make_random_topology
 
 from netcrit import reports
 from netcrit.cli import main
@@ -193,26 +193,6 @@ def test_metrics_outputs_match_golden_digests(case, tmp_path, capsys):
              for name in ("node_metrics.csv", "edge_metrics.csv", "rankings.csv")}
     found["stdout"] = sha256(capsys.readouterr().out.encode())
     assert found == METRICS_GOLDEN[case]
-
-
-def chorded_ring_text(routers: int = 80) -> str:
-    """Routers 1..n on a ring, with a chord to the router 8 ahead from every
-    fourth one and across the ring from every tenth: many equal-length paths,
-    so betweenness sums many fractional path counts. The sink links to routers
-    1 and n/2 + 1 and a generator hangs off every fifth router."""
-    def ahead(i: int, k: int) -> int:
-        return (i + k - 1) % routers + 1
-
-    half = routers // 2
-    lines = ["node S sink"] + [f"node {i} router" for i in range(1, routers + 1)]
-    gens = range(1, routers + 1, 5)
-    lines += [f"node G{i} generator" for i in gens]
-    lines += [f"edge {i} {ahead(i, 1)}" for i in range(1, routers + 1)]
-    lines += [f"edge {i} {ahead(i, 8)}" for i in range(1, routers + 1, 4)]
-    lines += [f"edge {i} {ahead(i, half)}" for i in range(3, half + 1, 10)]
-    lines += ["edge S 1", f"edge S {half + 1}"]
-    lines += [f"edge G{i} {i}" for i in gens]
-    return "\n".join(lines) + "\n"
 
 
 CHORDED_RING_GOLDEN = {

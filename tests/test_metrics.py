@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,17 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_random_topology, topologies
+from conftest import chorded_ring_text, make_random_topology, topologies
 from netcrit.metrics import (
+    SOURCE_BLOCK,
     Direction,
     _power_iteration,
+    _shortest_paths,
     betweenness_centrality,
     eccentricity_centrality,
     edge_betweenness,
     eigenvector_centrality,
     rank_with_ties,
 )
-from netcrit.topology import NodeRole, Topology, builtin_case, edge_key
+from netcrit.topology import NodeRole, Topology, builtin_case, edge_key, parse_topology
 
 # Mirror symmetry of the case-2 tree: swapping the two subtrees under the
 # sink maps these routers (and their generators) onto each other.
@@ -167,8 +170,13 @@ class TestEigenvector:
             frozenset({"6", "10"}), frozenset({"2", "14"}), frozenset({"1"})]
 
     def test_bad_tol_rejected(self):
-        with pytest.raises(ValueError):
-            eigenvector_centrality(builtin_case(3), tol=0.0)
+        # inf would stop after one unconverged step and nan would blame
+        # convergence after the whole budget: both fail up front instead.
+        for tol in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="tol must be finite"):
+                eigenvector_centrality(builtin_case(2), tol=tol)
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            eigenvector_centrality(builtin_case(2), max_iter=0)
 
     @given(topologies())
     @settings(max_examples=40)
@@ -199,6 +207,62 @@ class TestOracleEquivalence:
             eb = edge_betweenness(t)
             for edge, expected in oracles.naive_edge_betweenness(adj).items():
                 assert eb[edge] == pytest.approx(expected, abs=1e-9)
+
+
+def graph(n: int, seed: int, extra_edges: int = 0) -> Topology:
+    """Unvalidated graph on n nodes: a random spanning tree plus extra
+    random edges, which may repeat an edge or be a self-loop."""
+    rng = random.Random(seed)
+    ids = [f"v{i}" for i in range(n)]
+    edges = [(ids[rng.randrange(i)], ids[i]) for i in range(1, n)]
+    edges += [(rng.choice(ids), rng.choice(ids)) for _ in range(extra_edges)]
+    rng.shuffle(edges)
+    return Topology(name=f"graph{n}", nodes=tuple((v, NodeRole.ROUTER) for v in ids),
+                    edges=tuple(edges))
+
+
+class TestExactOrder:
+    """The level-synchronous pass returns exactly the tuples of the queue-based
+    reference pass: every float equal, not just close."""
+
+    @given(topologies(max_routers=4 * SOURCE_BLOCK, multihome_prob=0.5))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_pass(self, t):
+        assert _shortest_paths.__wrapped__(t) == oracles.reference_shortest_paths(t)
+
+    @pytest.mark.parametrize("t", [
+        Topology(name="duplicate", nodes=(("a", NodeRole.ROUTER), ("b", NodeRole.ROUTER),
+                                          ("c", NodeRole.ROUTER), ("d", NodeRole.ROUTER)),
+                 edges=(("a", "b"), ("b", "c"), ("a", "d"), ("d", "c"), ("c", "b"))),
+        Topology(name="self-loop", nodes=(("a", NodeRole.ROUTER), ("b", NodeRole.ROUTER),
+                                          ("c", NodeRole.ROUTER)),
+                 edges=(("a", "b"), ("b", "b"), ("b", "c"))),
+        Topology(name="disconnected", nodes=tuple((v, NodeRole.ROUTER) for v in "abcde"),
+                 edges=(("a", "b"), ("b", "c"), ("d", "e"))),
+        Topology(name="one", nodes=(("a", NodeRole.ROUTER),), edges=()),
+        Topology(name="empty", nodes=(), edges=()),
+    ], ids=lambda t: t.name)
+    def test_odd_graphs(self, t):
+        assert _shortest_paths.__wrapped__(t) == oracles.reference_shortest_paths(t)
+
+    @pytest.mark.parametrize("n", [SOURCE_BLOCK - 1, SOURCE_BLOCK, SOURCE_BLOCK + 1,
+                                   2 * SOURCE_BLOCK + 1])
+    def test_block_boundaries(self, n):
+        for seed, extra in [(0, 0), (1, n // 2), (2, 2 * n)]:
+            t = graph(n, seed, extra)
+            assert _shortest_paths.__wrapped__(t) == oracles.reference_shortest_paths(t)
+
+    def test_memory_budget(self):
+        # Blocks bound the working set: O(SOURCE_BLOCK x edges), not O(n^2).
+        t = parse_topology(chorded_ring_text(250), name="ring250")
+        t.adjacency  # built and cached outside the measured call
+        tracemalloc.start()
+        try:
+            _shortest_paths.__wrapped__(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_000_000
 
 
 class TestSymmetryAndRelabeling:

@@ -14,6 +14,7 @@ Diagnostics go to stderr; summaries to stdout; data to files.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,13 +32,12 @@ from .metrics import (
     Direction,
     PowerIterationError,
     betweenness_centrality,
-    check_tie_epsilon,
     eccentricity_centrality,
     edge_betweenness,
     eigenvector_centrality,
     rank_with_ties,
 )
-from .simulator import Scenario, SimConfig, SimulationLimitError, check_monitor_samples, run
+from .simulator import Scenario, SimConfig, SimulationLimitError, check_run_inputs, run
 from .topology import (
     BUILTIN_CASE_IDS,
     NodeRole,
@@ -50,6 +50,10 @@ from .topology import (
 
 # Upper bound on the seeds of one campaign, checked before a range is built.
 MAX_SEEDS = 100_000
+
+# A "--seeds" item or range end, stripped: int() alone takes "1_000" and
+# non-ASCII digits.
+_SEED = re.compile(r"-?[0-9]+")
 
 # Disturbance sets studied per case: DoS on the simulation-critical routers,
 # plus the DDoS pairs/triples tied to the top-ranked edges.
@@ -139,39 +143,29 @@ def _load(args) -> Topology:
     return builtin_case(args.case)
 
 
-def _check_seed_bounds(seeds) -> None:
-    bad = [s for s in seeds if not 0 <= s < 2**64]
-    if bad:
-        raise ValueError(f"seeds must be unsigned 64-bit integers, got {bad[0]}")
-
-
 def parse_seeds(text: str) -> tuple[int, ...]:
-    """Parse "--seeds": a comma-separated list of distinct seeds or a range a..b."""
+    """Parse "--seeds": a comma-separated list or an inclusive range a..b of
+    ``-?[0-9]+`` items. Checks only that syntax and the ``MAX_SEEDS`` count,
+    before a range is built; ``RunManifest`` checks the seeds themselves.
+    """
     text = text.strip()
     if ".." in text:
         lo, _, hi = text.partition("..")
-        try:
-            a, b = int(lo), int(hi)
-        except ValueError:
-            raise ValueError(f"bad seed range '{text}' (expected a..b)") from None
+        if not (_SEED.fullmatch(lo.strip()) and _SEED.fullmatch(hi.strip())):
+            raise ValueError(f"bad seed range '{text}' (expected a..b)")
+        a, b = int(lo), int(hi)
         if b < a:
             raise ValueError(f"seed range '{text}' ends before it starts")
-        _check_seed_bounds((a, b))
         if b - a >= MAX_SEEDS:
             raise ValueError(f"seed range '{text}' holds {b - a + 1} seeds "
                              f"(at most {MAX_SEEDS})")
         return tuple(range(a, b + 1))
-    try:
-        seeds = tuple(int(p) for p in text.split(",") if p.strip())
-    except ValueError:
-        raise ValueError(f"bad seeds '{text}' (expected a comma-separated list)") from None
-    if not seeds:
-        raise ValueError("no seeds given")
-    if len(seeds) > MAX_SEEDS:
-        raise ValueError(f"{len(seeds)} seeds given (at most {MAX_SEEDS})")
-    if len(set(seeds)) != len(seeds):
-        raise ValueError("seeds must be distinct")
-    return seeds
+    items = [p.strip() for p in text.split(",")]
+    if not all(_SEED.fullmatch(p) for p in items):
+        raise ValueError(f"bad seeds '{text}' (expected a comma-separated list)")
+    if len(items) > MAX_SEEDS:
+        raise ValueError(f"{len(items)} seeds given (at most {MAX_SEEDS})")
+    return tuple(int(p) for p in items)
 
 
 def _core_edge_keys(t: Topology) -> list[tuple[str, str]]:
@@ -230,7 +224,12 @@ def cmd_metrics(args) -> int:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """One simulation campaign: topology, scenarios, seeds, config, output root."""
+    """One simulation campaign: topology, scenarios, seeds, config, output root.
+
+    Building one checks the whole campaign before any run writes a file: it
+    needs a scenario and distinct seeds, builds each seed's ``SimConfig``
+    (seed bounds, parameters) and calls ``check_run_inputs``, as ``run`` does.
+    """
 
     topology: Topology
     scenarios: tuple[Scenario, ...]
@@ -249,13 +248,10 @@ class RunManifest:
             raise ValueError("manifest needs at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
-        _check_seed_bounds(self.seeds)
-        routers = set(self.topology.router_ids)
+        for seed in self.seeds:
+            config = self.config_for(seed)
         for scenario in self.scenarios:
-            missing = [r for r in scenario.targets if r not in routers]
-            if missing:
-                raise ValueError(f"scenario targets unknown routers: {', '.join(missing)}")
-        check_monitor_samples(len(routers), self.config_for(self.seeds[0]))
+            check_run_inputs(self.topology, config, scenario)
 
     def config_for(self, seed: int) -> SimConfig:
         return SimConfig(
@@ -325,18 +321,13 @@ def cmd_compare(args) -> int:
     if args.k < 1:
         print("usage error: --k must be >= 1", file=sys.stderr)
         return 2
-    check_tie_epsilon(args.tie_epsilon)  # before any run writes its files
     scenario = Scenario.from_string(args.scenario, args.attack_probability)
     manifest = _manifest_from_args(args, (scenario,))
     t = manifest.topology
-    universe = ranked_universe(t, args.k)  # likewise
-    results = execute_manifest(manifest, echo=_echo_stderr)[scenario.label]
-
-    delay = rank_by_delay(results, t, tie_epsilon=args.tie_epsilon)
-    comparisons = {
-        metric: compare_rankings(rc, delay, args.k)
-        for metric, rc in _rank_nodes(_node_metrics(t), args.tie_epsilon, universe).items()
-    }
+    # Rank before the runs: a bad --k or --tie-epsilon, or a failing metric,
+    # then stops the command before it writes anything.
+    universe = ranked_universe(t, args.k)
+    metric_ranks = _rank_nodes(_node_metrics(t), args.tie_epsilon, universe)
 
     # Edge betweenness is projected onto routers as the heaviest
     # infrastructure link each router terminates, so it can be ranked
@@ -347,9 +338,13 @@ def cmd_compare(args) -> int:
         router: max((edges[e] for e in core if router in e), default=0.0)
         for router in universe
     }
-    edge_view = rank_with_ties(router_share, Direction.HIGHER_IS_CRITICAL,
-                               args.tie_epsilon, universe)
-    comparisons["edge_betweenness"] = compare_rankings(edge_view, delay, args.k)
+    metric_ranks["edge_betweenness"] = rank_with_ties(
+        router_share, Direction.HIGHER_IS_CRITICAL, args.tie_epsilon, universe)
+
+    results = execute_manifest(manifest, echo=_echo_stderr)[scenario.label]
+    delay = rank_by_delay(results, t, tie_epsilon=args.tie_epsilon)
+    comparisons = {metric: compare_rankings(rc, delay, args.k)
+                   for metric, rc in metric_ranks.items()}
 
     out = Path(args.out) / "compare"
     out.mkdir(parents=True, exist_ok=True)

@@ -52,6 +52,10 @@ class PowerIterationError(RuntimeError):
 # x edges) entries at once, not O(nodes^2).
 SOURCE_BLOCK = 16
 
+# Power iteration of eigenvector_centrality: step tolerance and iteration budget.
+EIGENVECTOR_TOL = 1e-9
+EIGENVECTOR_MAX_ITER = 10_000
+
 
 @lru_cache(maxsize=1)
 def _shortest_paths(t: Topology):
@@ -190,20 +194,13 @@ def eccentricity_centrality(t: Topology) -> dict[str, int]:
     return dict(zip(nodes, ecc))
 
 
-def eigenvector_centrality(
-    t: Topology, tol: float = 1e-9, max_iter: int = 10_000
-) -> dict[str, float]:
+def eigenvector_centrality(t: Topology) -> dict[str, float]:
     """Dominant-eigenvector scores via power iteration, unit Euclidean norm.
 
-    The result x satisfies ``max|A x - lambda x| <= 10 * tol`` with lambda the
-    Rayleigh quotient. Raises PowerIterationError if that residual bound is
-    not reached within ``max_iter`` iterations, and ValueError unless ``tol``
-    is finite and > 0 and ``max_iter`` >= 1.
+    The result x satisfies ``max|A x - lambda x| <= 10 * EIGENVECTOR_TOL``
+    with lambda the Rayleigh quotient. Raises PowerIterationError if that
+    residual bound is not reached within ``EIGENVECTOR_MAX_ITER`` iterations.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be finite and > 0")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     ids = [nid for nid, _ in t.nodes]
     index = {nid: i for i, nid in enumerate(ids)}
     n = len(ids)
@@ -211,7 +208,7 @@ def eigenvector_centrality(
     for u, v in t.edges:
         a[index[u], index[v]] = 1.0
         a[index[v], index[u]] = 1.0
-    x = _power_iteration(a, tol, max_iter)
+    x = _power_iteration(a, EIGENVECTOR_TOL, EIGENVECTOR_MAX_ITER)
     return {nid: float(x[index[nid]]) for nid in ids}
 
 
@@ -267,12 +264,6 @@ class RankedClusters:
 TIE_EPSILON = 1e-9
 
 
-def check_tie_epsilon(tie_epsilon: float) -> None:
-    """Raise ValueError unless ``tie_epsilon`` is finite and >= 0."""
-    if not (math.isfinite(tie_epsilon) and tie_epsilon >= 0):
-        raise ValueError("tie_epsilon must be finite and >= 0")
-
-
 def rank_with_ties(
     values: Mapping[Hashable, float],
     direction: Direction = Direction.HIGHER_IS_CRITICAL,
@@ -282,9 +273,11 @@ def rank_with_ties(
     """Sort by criticality and group values within ``tie_epsilon`` of each
     cluster's representative (its first, most extreme member).
 
-    ``subset`` restricts the ranking, e.g. to router nodes only.
+    ``subset`` restricts the ranking, e.g. to router nodes only. Raises
+    ValueError unless ``tie_epsilon`` is finite and >= 0.
     """
-    check_tie_epsilon(tie_epsilon)
+    if not (math.isfinite(tie_epsilon) and tie_epsilon >= 0):
+        raise ValueError("tie_epsilon must be finite and >= 0")
     if subset is not None:
         keys = list(subset)
         missing = [k for k in keys if k not in values]

@@ -92,7 +92,7 @@ class SimConfig:
             if not _positive_finite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite and > 0")
         if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
+            raise ValueError(f"seeds must be unsigned 64-bit integers, got {self.seed}")
         if self.ttl < 0:
             raise ValueError("ttl must be >= 0 (0 = unlimited)")
 
@@ -112,6 +112,9 @@ class Scenario:
             raise ValueError(f"unknown scenario kind '{self.kind}'")
         if self.kind == "stable" and self.targets:
             raise ValueError("stable scenario takes no targets")
+        if "" in self.targets:
+            raise ValueError(f"empty target in scenario '{self.label}' "
+                             "(expected dos:<id> | ddos:<id>,<id>[,...])")
         if self.kind == "dos" and len(self.targets) != 1:
             raise ValueError("dos scenario takes exactly one target")
         if self.kind == "ddos" and not self.targets:
@@ -148,15 +151,11 @@ class Scenario:
             if rest:
                 raise ValueError("stable scenario takes no targets")
             return cls.stable()
-        if head in ("dos", "ddos"):
-            targets = rest.split(",")
-            if "" in targets:
-                raise ValueError(f"empty target in scenario '{text}' "
-                                 "(expected dos:<id> | ddos:<id>,<id>[,...])")
-            if head == "dos":
-                return cls(kind="dos", targets=tuple(targets),
-                           attack_forwarding_probability=attack_forwarding_probability)
-            return cls.ddos(targets, attack_forwarding_probability)
+        if head == "dos":
+            return cls(kind="dos", targets=tuple(rest.split(",")),
+                       attack_forwarding_probability=attack_forwarding_probability)
+        if head == "ddos":
+            return cls.ddos(rest.split(","), attack_forwarding_probability)
         raise ValueError(f"unknown scenario '{text}' (expected stable | dos:<id> | ddos:<id>,...)")
 
     @property
@@ -187,6 +186,18 @@ def check_monitor_samples(routers: int, config: SimConfig) -> None:
             f"run would hold {count:,} monitor samples ({routers} routers x "
             f"duration / monitor_interval), over the cap of {MAX_MONITOR_SAMPLES:,}; "
             "shorten the duration or lengthen the monitor interval")
+
+
+def check_run_inputs(topology: Topology, config: SimConfig, scenario: Scenario) -> None:
+    """Raise ValueError unless every target of ``scenario`` is a router of
+    ``topology`` and the run passes ``check_monitor_samples``. ``run`` calls
+    it first, and ``RunManifest`` for each scenario before the first run.
+    """
+    routers = topology.router_ids
+    unknown = [t for t in scenario.targets if t not in routers]
+    if unknown:
+        raise ValueError(f"scenario targets unknown routers: {', '.join(unknown)}")
+    check_monitor_samples(len(routers), config)
 
 
 @dataclass
@@ -238,13 +249,10 @@ def run(
     with kind in {"arrive", "forward", "drop_attack", "drop_ttl"}; it exists
     for tracing and tests and does not affect the run.
     """
+    check_run_inputs(topology, config, scenario)
     table = build_routing_table(topology)
     routers, sink, hops = table.routers, table.sink, table.hops
-    check_monitor_samples(len(routers), config)
     index = {r: i for i, r in enumerate(routers)}
-    unknown = [t for t in scenario.targets if t not in index]
-    if unknown:
-        raise ValueError(f"scenario targets unknown routers: {', '.join(unknown)}")
     # Admit probability of each attacked router; None where not attacked.
     admit = [None] * len(routers)
     for target in scenario.targets:

@@ -177,7 +177,7 @@ def test_criterion_05_eigenvector_residual_and_symmetry():
     t0 = time.perf_counter()
 
     def residual(t) -> float:
-        eig = eigenvector_centrality(t, tol=1e-9)
+        eig = eigenvector_centrality(t)
         ids = [nid for nid, _ in t.nodes]
         index = {nid: i for i, nid in enumerate(ids)}
         a = np.zeros((len(ids), len(ids)))

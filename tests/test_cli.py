@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import scenarios, topologies
 from netcrit import cli, reports
 from netcrit.cli import MAX_SEEDS, RunManifest, main
+from netcrit.metrics import PowerIterationError
 from netcrit.simulator import MAX_MONITOR_SAMPLES, Scenario
 from netcrit.topology import builtin_case, serialize_topology
 
@@ -316,6 +317,61 @@ class TestSeedBounds:
         assert run_cli("simulate", "--case", "3", "--seeds", seeds, "--duration", "1",
                        "--out", str(tmp_path)) == 1
         assert f"at most {MAX_SEEDS}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seeds", ["1,,2", "1,", ",1", "", "1_000", "1_000..1_002",
+                                       "\u0661,2", "+1", "1..", "..2"])
+    def test_malformed_seeds_are_an_error(self, tmp_path, capsys, seeds):
+        rc = run_cli("simulate", "--case", "3", f"--seeds={seeds}", "--duration", "1",
+                     "--out", str(tmp_path))
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: bad seed")
+        assert not (tmp_path / "runs").exists()
+
+    def test_spaces_and_sign_are_syntax(self):
+        assert cli.parse_seeds(" 1 .. 3 ") == (1, 2, 3)
+        assert cli.parse_seeds("1, -1") == (1, -1)  # RunManifest rejects -1
+
+
+# Each rule that stops a campaign before its first run writes a file, with
+# the start of its message. The seed rules hold for every campaign command.
+_SEED_RULES = [("1,-1", "seeds must be unsigned 64-bit integers, got -1"),
+               ("1,1", "seeds must be distinct"),
+               ("1,,2", "bad seeds '1,,2'")]
+_RUN_RULES = [(("--scenario", "dos:99"), "scenario targets unknown routers: 99"),
+              (("--duration", "1e12"), "run would hold"),
+              (("--service-rate", "nan"), "router_service_rate must be finite")]
+_COMPARE_RULES = [(("--tie-epsilon", "nan"), "tie_epsilon must be finite"),
+                  (("--k", "10"), "k=10 larger than ranked universe")]
+_FAIL_EARLY = (
+    [pytest.param(command, ("--seeds", seeds), message, id=f"{command}-seeds={seeds}")
+     for command in ("simulate", "compare", "case-study", "sweep")
+     for seeds, message in _SEED_RULES]
+    + [pytest.param(command, option, message, id=f"{command}{'='.join(option)}")
+       for command in ("simulate", "compare") for option, message in _RUN_RULES]
+    + [pytest.param("compare", option, message, id=f"compare{'='.join(option)}")
+       for option, message in _COMPARE_RULES]
+)
+
+
+class TestFailBeforeFirstRun:
+    @pytest.mark.parametrize("command, option, message", _FAIL_EARLY)
+    def test_rule(self, tmp_path, capsys, command, option, message):
+        # Without the rule, --seeds 1..2 would run and write runs/.
+        rc = run_cli(command, "--case", "3", "--seeds", "1..2", "--duration", "10",
+                     *option, "--out", str(tmp_path))
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "runs").exists()
+
+    def test_compare_metric_failure(self, tmp_path, capsys, monkeypatch):
+        def fail(t):
+            raise PowerIterationError(1, 1.0)
+        monkeypatch.setattr(cli, "eigenvector_centrality", fail)
+        rc = run_cli("compare", "--case", "3", "--seeds", "1..2", "--duration", "10",
+                     "--out", str(tmp_path))
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: power iteration did not converge")
+        assert not (tmp_path / "runs").exists()
 
 
 class TestCaseStudyCommand:

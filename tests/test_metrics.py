@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import chorded_ring_text, make_random_topology, topologies
 from netcrit.metrics import (
+    EIGENVECTOR_TOL,
     SOURCE_BLOCK,
     Direction,
     _power_iteration,
@@ -169,20 +170,11 @@ class TestEigenvector:
         assert [c.members for c in rc.clusters] == [
             frozenset({"6", "10"}), frozenset({"2", "14"}), frozenset({"1"})]
 
-    def test_bad_tol_rejected(self):
-        # inf would stop after one unconverged step and nan would blame
-        # convergence after the whole budget: both fail up front instead.
-        for tol in (0.0, -1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="tol must be finite"):
-                eigenvector_centrality(builtin_case(2), tol=tol)
-        with pytest.raises(ValueError, match="max_iter must be >= 1"):
-            eigenvector_centrality(builtin_case(2), max_iter=0)
-
     @given(topologies())
     @settings(max_examples=40)
     def test_residual_norm_and_sign_invariants(self, t):
-        tol = 1e-9
-        eig = eigenvector_centrality(t, tol=tol)
+        tol = EIGENVECTOR_TOL
+        eig = eigenvector_centrality(t)
         ids = [nid for nid, _ in t.nodes]
         index = {nid: i for i, nid in enumerate(ids)}
         a = np.zeros((len(ids), len(ids)))

@@ -164,6 +164,13 @@ class TestScenario:
         with pytest.raises(ValueError):
             Scenario.from_string(bad)
 
+    @pytest.mark.parametrize("build", [lambda: Scenario.dos(""),
+                                       lambda: Scenario.ddos(["", "3"])],
+                             ids=["dos", "ddos"])
+    def test_constructors_reject_empty_target(self, build):
+        with pytest.raises(ValueError, match="empty target in scenario"):
+            build()
+
     def test_probability_bounds(self):
         with pytest.raises(ValueError):
             Scenario.dos("5", attack_forwarding_probability=0.0)

@@ -22,6 +22,7 @@ from .metrics import (
     rank_with_ties,
 )
 from .simulator import (
+    RunRecord,
     Scenario,
     SimConfig,
     SimResult,

@@ -19,7 +19,7 @@ from statistics import fmean
 from typing import Iterable, Mapping, Sequence
 
 from .metrics import TIE_EPSILON, Direction, RankedClusters, rank_with_ties
-from .simulator import SimResult
+from .simulator import RunRecord
 from .topology import Topology, natural_key
 
 @dataclass(frozen=True)
@@ -56,11 +56,13 @@ def ranked_universe(t: Topology, k: int = 1) -> list[str]:
 
 
 def rank_by_delay(
-    results: Sequence[SimResult], t: Topology, tie_epsilon: float = TIE_EPSILON
+    results: Sequence[RunRecord], t: Topology, tie_epsilon: float = TIE_EPSILON
 ) -> RankedClusters:
     """Rank routers by final delay averaged across seeds, highest first.
 
-    All results must come from the same topology ``t``. The ranking covers
+    ``results`` are run records (``execute_manifest`` returns them) or full
+    ``SimResult``s, which are records too; only the per-router summaries are
+    read. All must come from the same topology ``t``. The ranking covers
     ``ranked_universe(t)``: sink-adjacent routers are left out.
     """
     if not results:
@@ -76,8 +78,11 @@ def rank_by_delay(
                           Direction.HIGHER_IS_CRITICAL, tie_epsilon)
 
 
-def mean_final_delays(runs: Sequence[SimResult], routers: Iterable[str]) -> dict[str, float]:
-    """Final delay of each router, averaged over the runs (one per seed)."""
+def mean_final_delays(runs: Sequence[RunRecord], routers: Iterable[str]) -> dict[str, float]:
+    """Final delay of each router, averaged over the runs (one per seed).
+
+    ``runs`` are run records or full ``SimResult``s.
+    """
     return {router: fmean(res.routers[router].final_delay for res in runs) for router in routers}
 
 
@@ -98,13 +103,15 @@ class OutageImpact:
 
 
 def outage_impacts(
-    results: Mapping[str, Sequence[SimResult]], t: Topology
+    results: Mapping[str, Sequence[RunRecord]], t: Topology
 ) -> tuple[float, list[OutageImpact]]:
     """Rank the routers of ``t`` by the delivery loss their DoS causes, worst first.
 
     ``results`` maps "stable" and "dos:<router>" for every router to its
-    runs. Returns the stable mean delivery count and the impacts; ties keep
-    router declaration order.
+    runs, as run records (``execute_manifest``'s result) or full
+    ``SimResult``s; only delivery counts and final delays are read. Returns
+    the stable mean delivery count and the impacts; ties keep router
+    declaration order.
     """
     baseline = results["stable"]
     base_delivered = fmean(r.delivered_to_sink for r in baseline)

@@ -37,7 +37,14 @@ from .metrics import (
     eigenvector_centrality,
     rank_with_ties,
 )
-from .simulator import Scenario, SimConfig, SimulationLimitError, check_run_inputs, run
+from .simulator import (
+    RunRecord,
+    Scenario,
+    SimConfig,
+    SimulationLimitError,
+    check_run_inputs,
+    run,
+)
 from .topology import (
     BUILTIN_CASE_IDS,
     NodeRole,
@@ -54,6 +61,13 @@ MAX_SEEDS = 100_000
 # A "--seeds" item or range end, stripped: int() alone takes "1_000" and
 # non-ASCII digits.
 _SEED = re.compile(r"-?[0-9]+")
+
+# Most digits of a seed: 2**64 has 20, so a longer item is out of range, and
+# it is rejected before int() has to parse it.
+MAX_SEED_DIGITS = 20
+
+# Most characters of the "--seeds" text an error message quotes.
+_QUOTE_CHARS = 24
 
 # Disturbance sets studied per case: DoS on the simulation-critical routers,
 # plus the DDoS pairs/triples tied to the top-ranked edges.
@@ -143,28 +157,49 @@ def _load(args) -> Topology:
     return builtin_case(args.case)
 
 
+def _quote(text: str) -> str:
+    """``text`` in quotes, cut to ``_QUOTE_CHARS`` characters plus '...'."""
+    if len(text) > _QUOTE_CHARS:
+        text = text[:_QUOTE_CHARS] + "..."
+    return f"'{text}'"
+
+
+def _check_digits(items: list[str]) -> None:
+    """Reject an item of more than ``MAX_SEED_DIGITS`` digits before int()
+    parses it: such a seed is out of range, and a long one would otherwise
+    fail in int() itself or be echoed whole by ``SimConfig``."""
+    for item in items:
+        digits = len(item.lstrip("-"))
+        if digits > MAX_SEED_DIGITS:
+            raise ValueError(f"bad seed {_quote(item)} has {digits} digits "
+                             f"(at most {MAX_SEED_DIGITS})")
+
+
 def parse_seeds(text: str) -> tuple[int, ...]:
     """Parse "--seeds": a comma-separated list or an inclusive range a..b of
-    ``-?[0-9]+`` items. Checks only that syntax and the ``MAX_SEEDS`` count,
-    before a range is built; ``RunManifest`` checks the seeds themselves.
+    ``-?[0-9]+`` items of at most ``MAX_SEED_DIGITS`` digits. Checks only
+    that syntax and the ``MAX_SEEDS`` count, before a range is built;
+    ``RunManifest`` checks the seeds themselves.
     """
     text = text.strip()
     if ".." in text:
-        lo, _, hi = text.partition("..")
-        if not (_SEED.fullmatch(lo.strip()) and _SEED.fullmatch(hi.strip())):
-            raise ValueError(f"bad seed range '{text}' (expected a..b)")
+        lo, _, hi = (part.strip() for part in text.partition(".."))
+        if not (_SEED.fullmatch(lo) and _SEED.fullmatch(hi)):
+            raise ValueError(f"bad seed range {_quote(text)} (expected a..b)")
+        _check_digits([lo, hi])
         a, b = int(lo), int(hi)
         if b < a:
-            raise ValueError(f"seed range '{text}' ends before it starts")
+            raise ValueError(f"seed range {_quote(text)} ends before it starts")
         if b - a >= MAX_SEEDS:
-            raise ValueError(f"seed range '{text}' holds {b - a + 1} seeds "
+            raise ValueError(f"seed range {_quote(text)} holds {b - a + 1} seeds "
                              f"(at most {MAX_SEEDS})")
         return tuple(range(a, b + 1))
     items = [p.strip() for p in text.split(",")]
     if not all(_SEED.fullmatch(p) for p in items):
-        raise ValueError(f"bad seeds '{text}' (expected a comma-separated list)")
+        raise ValueError(f"bad seeds {_quote(text)} (expected a comma-separated list)")
     if len(items) > MAX_SEEDS:
         raise ValueError(f"{len(items)} seeds given (at most {MAX_SEEDS})")
+    _check_digits(items)
     return tuple(int(p) for p in items)
 
 
@@ -227,8 +262,10 @@ class RunManifest:
     """One simulation campaign: topology, scenarios, seeds, config, output root.
 
     Building one checks the whole campaign before any run writes a file: it
-    needs a scenario and distinct seeds, builds each seed's ``SimConfig``
-    (seed bounds, parameters) and calls ``check_run_inputs``, as ``run`` does.
+    needs a scenario, distinct scenario labels (a label names its run
+    directories and its entry in ``execute_manifest``'s result) and distinct
+    seeds, builds each seed's ``SimConfig`` (seed bounds, parameters) and
+    calls ``check_run_inputs``, as ``run`` does.
     """
 
     topology: Topology
@@ -244,6 +281,11 @@ class RunManifest:
     def __post_init__(self):
         if not self.scenarios:
             raise ValueError("manifest needs at least one scenario")
+        labels = [scenario.label for scenario in self.scenarios]
+        repeated = sorted({label for label in labels if labels.count(label) > 1})
+        if repeated:
+            raise ValueError(f"scenarios must be distinct, got {', '.join(repeated)} "
+                             "more than once")
         if not self.seeds:
             raise ValueError("manifest needs at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
@@ -264,32 +306,38 @@ class RunManifest:
         )
 
 
-def execute_manifest(manifest: RunManifest, echo=None):
+def execute_manifest(manifest: RunManifest, echo=None) -> dict[str, list[RunRecord]]:
     """Run every (scenario x seed) combination, writing per-run CSV files.
 
-    Returns {scenario label: [SimResult per seed]}. Run directories are
-    unique per (scenario, seed), so campaigns never contend on paths.
+    Returns {scenario label: [RunRecord per seed]}: each run's per-router
+    summary and accounting counters, not its tick columns, which are freed
+    once its ``timeseries.csv`` is written. So a campaign holds
+    O(runs x routers) in memory, and at most one run's tick columns at a
+    time. Run directories are unique per (scenario, seed), so campaigns
+    never contend on paths.
     """
-    by_scenario: dict[str, list] = {}
-    for scenario in manifest.scenarios:
-        label = scenario.label.replace(":", "-")
-        results = []
-        for seed in manifest.seeds:
-            result = run(manifest.topology, manifest.config_for(seed), scenario)
-            run_dir = manifest.out_dir / "runs" / label / str(seed)
-            run_dir.mkdir(parents=True, exist_ok=True)
-            reports.write_timeseries(run_dir / "timeseries.csv", result)
-            reports.write_summary(run_dir / "summary.csv", result)
-            reports.write_accounting(run_dir / "accounting.csv", result)
-            if echo is not None:
-                echo(f"[{manifest.topology.name}] {scenario.label} seed={seed}: "
-                     f"generated={result.generated} delivered={result.delivered_to_sink} "
-                     f"dropped_attack={result.dropped_by_attack} "
-                     f"dropped_ttl={result.dropped_by_ttl} "
-                     f"in_flight={result.in_flight_at_end} events={result.event_count}")
-            results.append(result)
-        by_scenario[scenario.label] = results
-    return by_scenario
+    return {scenario.label: [_run_and_write(manifest, scenario, seed, echo)
+                             for seed in manifest.seeds]
+            for scenario in manifest.scenarios}
+
+
+def _run_and_write(manifest: RunManifest, scenario: Scenario, seed: int, echo) -> RunRecord:
+    """One run of the campaign: simulate, write its three CSVs, echo its
+    counts, and return its record. The full result is local to this call,
+    so its tick columns are freed before the next run starts."""
+    result = run(manifest.topology, manifest.config_for(seed), scenario)
+    run_dir = manifest.out_dir / "runs" / scenario.label.replace(":", "-") / str(seed)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    reports.write_timeseries(run_dir / "timeseries.csv", result)
+    reports.write_summary(run_dir / "summary.csv", result)
+    reports.write_accounting(run_dir / "accounting.csv", result)
+    if echo is not None:
+        echo(f"[{manifest.topology.name}] {scenario.label} seed={seed}: "
+             f"generated={result.generated} delivered={result.delivered_to_sink} "
+             f"dropped_attack={result.dropped_by_attack} "
+             f"dropped_ttl={result.dropped_by_ttl} "
+             f"in_flight={result.in_flight_at_end} events={result.event_count}")
+    return result.record()
 
 
 def _manifest_from_args(args, scenarios: tuple[Scenario, ...]) -> RunManifest:

@@ -15,7 +15,7 @@ from typing import Collection, Iterable, Mapping, Sequence
 
 from .analysis import OutageImpact, RankingComparison
 from .metrics import RankedClusters
-from .simulator import SimResult
+from .simulator import RunRecord, SimResult
 from .topology import Topology, natural_key
 
 NODE_METRICS_COLUMNS = {"node_id": str, "role": str, "betweenness": float,
@@ -107,13 +107,13 @@ def write_timeseries(path: str | Path, result: SimResult) -> None:
             handle.write("".join(lines))
 
 
-def write_summary(path: str | Path, result: SimResult) -> None:
+def write_summary(path: str | Path, result: RunRecord) -> None:
     _write(path, SUMMARY_COLUMNS,
            ((router, rs.final_delay, rs.forwarded, rs.dropped_attack, rs.attacked,
              rs.sink_adjacent) for router, rs in result.routers.items()))
 
 
-def write_accounting(path: str | Path, result: SimResult) -> None:
+def write_accounting(path: str | Path, result: RunRecord) -> None:
     _write(path, ACCOUNTING_COLUMNS,
            [(result.generated, result.delivered_to_sink, result.dropped_by_attack,
              result.dropped_by_ttl, result.in_flight_at_end)])

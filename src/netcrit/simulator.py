@@ -34,7 +34,7 @@ import itertools
 import math
 from array import array
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from heapq import heappop, heappush
 from typing import Callable
 
@@ -200,13 +200,15 @@ def check_run_inputs(topology: Topology, config: SimConfig, scenario: Scenario) 
     check_monitor_samples(len(routers), config)
 
 
-@dataclass
-class SimResult:
-    """Outcome of one run: delay time series, per-router stats, accounting.
+@dataclass(frozen=True)
+class RunRecord:
+    """What a campaign keeps of one run: per-router stats and accounting.
 
-    ``tick_times`` holds the monitor's tick times, and ``tick_delays`` maps
-    each router, in declaration order, to its running mean sojourn at each
-    tick: ``array('d')`` columns, each as long as ``tick_times``.
+    ``execute_manifest`` returns one per (scenario, seed) once the run's CSV
+    files are written, so a campaign holds O(runs x routers) in memory, not
+    every run's tick columns. ``SimResult`` is a ``RunRecord``, so whatever
+    takes a record, such as the delay rankings and the summary and
+    accounting writers, takes a full result too.
 
     The packet accounting satisfies
     generated == delivered_to_sink + dropped_by_attack + dropped_by_ttl +
@@ -214,8 +216,6 @@ class SimResult:
     """
 
     topology_name: str
-    tick_times: array
-    tick_delays: dict[str, array]
     routers: dict[str, RouterSummary]
     generated: int
     delivered_to_sink: int
@@ -223,9 +223,28 @@ class SimResult:
     dropped_by_ttl: int
     in_flight_at_end: int
     event_count: int
+
+
+@dataclass(frozen=True)
+class SimResult(RunRecord):
+    """Outcome of one run: its ``RunRecord`` plus the delay time series and
+    the calibration totals.
+
+    ``tick_times`` holds the monitor's tick times, and ``tick_delays`` maps
+    each router, in declaration order, to its running mean sojourn at each
+    tick: ``array('d')`` columns, each as long as ``tick_times``.
+    """
+
+    tick_times: array
+    tick_delays: dict[str, array]
     generated_size_total: float
     interarrival_total: float
     interarrival_draws: int
+
+    def record(self) -> RunRecord:
+        """The run's record alone, sharing its ``routers`` dict; the tick
+        columns are not referenced from it."""
+        return RunRecord(**{f.name: getattr(self, f.name) for f in fields(RunRecord)})
 
 
 # Calendar event kinds, in no particular priority: ties on the calendar break

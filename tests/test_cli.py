@@ -1,4 +1,7 @@
+import dataclasses
 import filecmp
+import gc
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -8,9 +11,10 @@ from hypothesis import strategies as st
 
 from conftest import scenarios, topologies
 from netcrit import cli, reports
+from netcrit.analysis import mean_final_delays, outage_impacts, rank_by_delay
 from netcrit.cli import MAX_SEEDS, RunManifest, main
 from netcrit.metrics import PowerIterationError
-from netcrit.simulator import MAX_MONITOR_SAMPLES, Scenario
+from netcrit.simulator import MAX_MONITOR_SAMPLES, RunRecord, Scenario, run
 from netcrit.topology import builtin_case, serialize_topology
 
 
@@ -299,6 +303,75 @@ class TestRunManifest:
         assert not (tmp_path / "runs").exists()
 
 
+def _record_fields(result) -> dict:
+    return {f.name: getattr(result, f.name) for f in dataclasses.fields(RunRecord)}
+
+
+class TestRunRecords:
+    """execute_manifest returns slim run records, not full SimResults."""
+
+    @staticmethod
+    def _sweep(tmp_path, seeds=(1, 2), duration=50.0):
+        t = builtin_case(3)
+        scenarios = (Scenario.stable(),) + tuple(Scenario.dos(r) for r in t.router_ids)
+        manifest = RunManifest(topology=t, scenarios=scenarios, seeds=seeds,
+                               duration=duration, out_dir=tmp_path)
+        return manifest, cli.execute_manifest(manifest)
+
+    def test_records_match_run_and_files(self, tmp_path):
+        manifest, records = self._sweep(tmp_path)
+        assert list(records) == [s.label for s in manifest.scenarios]
+        for scenario in manifest.scenarios:
+            for seed, record in zip(manifest.seeds, records[scenario.label], strict=True):
+                assert type(record) is RunRecord
+                full = run(manifest.topology, manifest.config_for(seed), scenario)
+                assert _record_fields(record) == _record_fields(full)
+                run_dir = tmp_path / "runs" / scenario.label.replace(":", "-") / str(seed)
+                summary = reports.read_csv(run_dir / "summary.csv", reports.SUMMARY_COLUMNS)
+                assert summary == [
+                    {"router_id": r, "final_delay_s": rs.final_delay, "forwarded": rs.forwarded,
+                     "dropped_attack": rs.dropped_attack, "attacked": rs.attacked,
+                     "sink_adjacent": rs.sink_adjacent} for r, rs in record.routers.items()]
+                [accounting] = reports.read_csv(run_dir / "accounting.csv",
+                                                reports.ACCOUNTING_COLUMNS)
+                assert accounting == {name: getattr(record, name)
+                                      for name in reports.ACCOUNTING_COLUMNS}
+
+    def test_analysis_same_on_records_and_results(self, tmp_path):
+        manifest, records = self._sweep(tmp_path)
+        t = manifest.topology
+        full = {s.label: [run(t, manifest.config_for(seed), s) for seed in manifest.seeds]
+                for s in manifest.scenarios}
+        assert rank_by_delay(records["stable"], t) == rank_by_delay(full["stable"], t)
+        for label in records:
+            assert (mean_final_delays(records[label], t.router_ids)
+                    == mean_final_delays(full[label], t.router_ids))
+        assert outage_impacts(records, t) == outage_impacts(full, t)
+
+    def test_held_memory_does_not_grow_with_duration(self, tmp_path):
+        t = builtin_case(2)
+
+        def retained(duration: float) -> int:
+            """Bytes the campaign's return value holds, under tracemalloc."""
+            manifest = RunManifest(topology=t, scenarios=(Scenario.stable(), Scenario.dos("3")),
+                                   seeds=(1, 2), duration=duration,
+                                   out_dir=tmp_path / str(duration))
+            records = cli.execute_manifest(manifest)
+            gc.collect()  # also empties the interpreter's free lists
+            held = tracemalloc.get_traced_memory()[0]
+            del records
+            gc.collect()
+            return held - tracemalloc.get_traced_memory()[0]
+
+        tracemalloc.start()
+        try:
+            short, long = retained(50.0), retained(500.0)
+        finally:
+            tracemalloc.stop()
+        # Tick columns would add 15 columns x 900 ticks x 8 bytes per run.
+        assert long - short < 64 * 1024
+
+
 class TestSeedBounds:
     @pytest.mark.parametrize("seeds", ["0..100000000000", f"0..{MAX_SEEDS}",
                                        f"{2**64 - 1}..{2**64}", "-3..2"])
@@ -336,7 +409,8 @@ class TestSeedBounds:
 # the start of its message. The seed rules hold for every campaign command.
 _SEED_RULES = [("1,-1", "seeds must be unsigned 64-bit integers, got -1"),
                ("1,1", "seeds must be distinct"),
-               ("1,,2", "bad seeds '1,,2'")]
+               ("1,,2", "bad seeds '1,,2'"),
+               (f"1,{2**64}", f"seeds must be unsigned 64-bit integers, got {2**64}")]
 _RUN_RULES = [(("--scenario", "dos:99"), "scenario targets unknown routers: 99"),
               (("--duration", "1e12"), "run would hold"),
               (("--service-rate", "nan"), "router_service_rate must be finite")]
@@ -361,6 +435,30 @@ class TestFailBeforeFirstRun:
                      *option, "--out", str(tmp_path))
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "compare", "case-study", "sweep"])
+    @pytest.mark.parametrize("seeds", [
+        pytest.param("1," + "9" * 300, id="300-digit-item"),
+        pytest.param("1.." + "9" * 5000, id="5000-digit-range-end"),
+    ])
+    def test_long_seed(self, tmp_path, capsys, command, seeds):
+        rc = run_cli(command, "--case", "3", "--duration", "10", "--seeds", seeds,
+                     "--out", str(tmp_path))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad seed '99999999")
+        assert f"digits (at most {cli.MAX_SEED_DIGITS})" in err
+        assert err.count("\n") == 1 and len(err.encode()) <= 200
+        assert not (tmp_path / "runs").exists()
+
+    def test_repeated_scenario_label(self, tmp_path):
+        t = builtin_case(3)
+        for repeated in ((Scenario.stable(), Scenario.stable()),
+                         (Scenario.dos("2"), Scenario.stable(), Scenario.dos("2", 0.5))):
+            with pytest.raises(ValueError, match="scenarios must be distinct, got "):
+                RunManifest(topology=t, scenarios=repeated, seeds=(1, 2), duration=10.0,
+                            out_dir=tmp_path)
         assert not (tmp_path / "runs").exists()
 
     def test_compare_metric_failure(self, tmp_path, capsys, monkeypatch):

@@ -14,7 +14,6 @@ from .metrics import (
     Direction,
     PowerIterationError,
     RankCluster,
-    RankedClusters,
     betweenness_centrality,
     eccentricity_centrality,
     edge_betweenness,

@@ -3,8 +3,9 @@
 Routers directly linked to the sink are left out of delay rankings: their
 delay mirrors the sink's and says nothing about the topology. The topology
 alone fixes which routers those are (``Topology.sink_adjacent_routers``), so
-a delay ranking is a plain ``RankedClusters`` over the rest. Top-k overlap
-is cluster-aware, so a tie cluster straddling position k contributes
+a delay ranking is a plain ``rank_with_ties`` ranking over the rest: a tuple
+of ``RankCluster``s, most critical first, members in natural order. Top-k
+overlap is cluster-aware, so a tie cluster straddling position k contributes
 fractionally rather than by arbitrary tie breaking.
 
 A DoS sweep gives a second simulation-side answer: routers ranked by the
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from statistics import fmean
 from typing import Iterable, Mapping, Sequence
 
-from .metrics import TIE_EPSILON, Direction, RankedClusters, rank_with_ties
+from .metrics import TIE_EPSILON, Direction, RankCluster, all_members, rank_with_ties
 from .simulator import RunRecord
 from .topology import Topology, natural_key
 
@@ -57,7 +58,7 @@ def ranked_universe(t: Topology, k: int = 1) -> list[str]:
 
 def rank_by_delay(
     results: Sequence[RunRecord], t: Topology, tie_epsilon: float = TIE_EPSILON
-) -> RankedClusters:
+) -> tuple[RankCluster, ...]:
     """Rank routers by final delay averaged across seeds, highest first.
 
     ``results`` are run records (``execute_manifest`` returns them) or full
@@ -135,58 +136,46 @@ def outage_impacts(
     return base_delivered, impacts
 
 
-def midranks(rc: RankedClusters) -> dict:
-    """Mid-rank position of every member (ties share the average position)."""
-    out = {}
+def _positions(ranking: Sequence[RankCluster]):
+    """Each cluster with its position: the number of members ranked above it."""
     position = 0
-    for cluster in rc.clusters:
-        m = len(cluster.members)
-        mid = position + (m + 1) / 2.0
-        for member in cluster.members:
-            out[member] = mid
-        position += m
-    return out
+    for cluster in ranking:
+        yield position, cluster
+        position += len(cluster.members)
 
 
-def topk_weights(rc: RankedClusters, k: int) -> dict:
+def midranks(ranking: Sequence[RankCluster]) -> dict:
+    """Mid-rank position of every member (ties share the average position)."""
+    return {member: position + (len(cluster.members) + 1) / 2.0
+            for position, cluster in _positions(ranking) for member in cluster.members}
+
+
+def topk_weights(ranking: Sequence[RankCluster], k: int) -> dict:
     """Fractional top-k membership: full clusters above k count 1 per member;
-    a cluster straddling position k contributes (k - taken)/size per member."""
-    out = {}
-    taken = 0
-    for cluster in rc.clusters:
-        m = len(cluster.members)
-        if taken + m <= k:
-            w = 1.0
-        elif taken < k:
-            w = (k - taken) / m
-        else:
-            w = 0.0
-        for member in cluster.members:
-            out[member] = w
-        taken += m
-    return out
+    a cluster straddling position k contributes (k - position)/size per member."""
+    return {member: min(1.0, max(0.0, (k - position) / len(cluster.members)))
+            for position, cluster in _positions(ranking) for member in cluster.members}
 
 
-def topk_members(rc: RankedClusters, k: int) -> tuple:
+def topk_members(ranking: Sequence[RankCluster], k: int) -> tuple:
     """Members of all clusters intersecting the top k, in rank order."""
-    out = []
-    taken = 0
-    for cluster in rc.clusters:
-        if taken >= k:
-            break
-        out.extend(sorted(cluster.members, key=lambda x: natural_key(str(x))))
-        taken += len(cluster.members)
-    return tuple(out)
+    return tuple(member for position, cluster in _positions(ranking) if position < k
+                 for member in cluster.members)
 
 
-def overlap_at_k(a: RankedClusters, b: RankedClusters, k: int) -> float:
-    """Cluster-aware |top-k(a) and top-k(b)| / k; symmetric in a and b."""
+def overlap_at_k(a: Sequence[RankCluster], b: Sequence[RankCluster], k: int) -> float:
+    """Cluster-aware |top-k(a) and top-k(b)| / k; symmetric in a and b.
+
+    The terms are added in ``a``'s order (rank, then natural order within a
+    cluster), never in set order, so the float does not depend on the string
+    hash seed. Swapping a and b can change its last bit.
+    """
     wa = topk_weights(a, k)
     wb = topk_weights(b, k)
     return sum(min(wa[m], wb.get(m, 0.0)) for m in wa) / k
 
 
-def spearman_from_clusters(a: RankedClusters, b: RankedClusters) -> float:
+def spearman_from_clusters(a: Sequence[RankCluster], b: Sequence[RankCluster]) -> float:
     """Spearman rank correlation using mid-ranks for ties.
 
     Returns 0.0 when either ranking has no rank variation (a single tie
@@ -209,18 +198,18 @@ def spearman_from_clusters(a: RankedClusters, b: RankedClusters) -> float:
 
 
 def compare_rankings(
-    metric_ranks: RankedClusters, delay_ranks: RankedClusters, k: int
+    metric_ranks: Sequence[RankCluster], delay_ranks: Sequence[RankCluster], k: int
 ) -> RankingComparison:
     """Overlap@k and Spearman between a metric ranking and a delay ranking.
 
     Both rankings must cover the same router universe, such as
     ``ranked_universe(t)``, which leaves out the sink-adjacent routers.
     """
-    universe = delay_ranks.all_members()
-    if metric_ranks.all_members() != universe:
+    universe = all_members(delay_ranks)
+    if all_members(metric_ranks) != universe:
         raise ValueError(
             "rankings cover different universes: "
-            f"{sorted(metric_ranks.all_members(), key=str)} vs {sorted(universe, key=str)}"
+            f"{sorted(all_members(metric_ranks), key=str)} vs {sorted(universe, key=str)}"
         )
     _check_k(k, len(universe))
     return RankingComparison(

@@ -86,7 +86,7 @@ def _add_topology_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_sim_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seeds", "--seed", dest="seeds", default="0",
+    p.add_argument("--seeds", default="0",
                    help="comma-separated list or inclusive range a..b (default: 0)")
     p.add_argument("--duration", type=float, required=True, help="simulated seconds")
     p.add_argument("--mean-interarrival", type=float, default=SimConfig.mean_interarrival)

@@ -21,6 +21,11 @@ one BFS level at a time, so its working set grows with the block times the
 edge count rather than with n^2. It still adds every sum's terms in the
 order of a queue-based BFS over one source at a time, so each float is
 bit-identical to that plain pass, which the tests keep as the reference.
+
+A ranking is a plain tuple of ``RankCluster``s, most critical first.
+``rank_with_ties`` sorts each cluster's members once, in natural order, and
+nothing downstream re-sorts them, so reports and sums over a ranking never
+depend on set iteration order or the string hash seed.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from typing import Hashable, Iterable, Mapping
 
 import numpy as np
 
-from .topology import Topology, edge_key
+from .topology import Topology, edge_key, natural_key
 
 
 class PowerIterationError(RuntimeError):
@@ -242,22 +247,11 @@ class Direction(Enum):
 
 @dataclass(frozen=True)
 class RankCluster:
-    rank: int
-    members: frozenset
+    """One tie cluster of a ranking: its members in natural order and the
+    value of its representative."""
+
+    members: tuple
     value: float
-
-
-@dataclass(frozen=True)
-class RankedClusters:
-    """Criticality ranking as an ordered list of tie clusters."""
-
-    clusters: tuple[RankCluster, ...]
-
-    def all_members(self) -> frozenset:
-        out: set = set()
-        for c in self.clusters:
-            out |= c.members
-        return frozenset(out)
 
 
 # Default tolerance within which values rank as one tie cluster.
@@ -269,9 +263,14 @@ def rank_with_ties(
     direction: Direction = Direction.HIGHER_IS_CRITICAL,
     tie_epsilon: float = TIE_EPSILON,
     subset: Iterable[Hashable] | None = None,
-) -> RankedClusters:
+) -> tuple[RankCluster, ...]:
     """Sort by criticality and group values within ``tie_epsilon`` of each
     cluster's representative (its first, most extreme member).
+
+    Returns the clusters most critical first, so a cluster's rank is its
+    position plus one. Each cluster's members are sorted by
+    ``natural_key(str(member))``; this is the one place that orders them,
+    so every report and statistic built on a ranking sees the same order.
 
     ``subset`` restricts the ranking, e.g. to router nodes only. Raises
     ValueError unless ``tie_epsilon`` is finite and >= 0.
@@ -292,15 +291,16 @@ def rank_with_ties(
     descending = direction is Direction.HIGHER_IS_CRITICAL
     items.sort(key=lambda kv: ((-kv[1] if descending else kv[1]), str(kv[0])))
 
-    clusters: list[RankCluster] = []
-    members = [items[0][0]]
-    rep = items[0][1]
+    groups = [([items[0][0]], items[0][1])]
     for key, val in items[1:]:
-        if abs(val - rep) <= tie_epsilon:
-            members.append(key)
+        if abs(val - groups[-1][1]) <= tie_epsilon:
+            groups[-1][0].append(key)
         else:
-            clusters.append(RankCluster(len(clusters) + 1, frozenset(members), rep))
-            members = [key]
-            rep = val
-    clusters.append(RankCluster(len(clusters) + 1, frozenset(members), rep))
-    return RankedClusters(clusters=tuple(clusters))
+            groups.append(([key], val))
+    return tuple(RankCluster(tuple(sorted(members, key=lambda m: natural_key(str(m)))), rep)
+                 for members, rep in groups)
+
+
+def all_members(ranking: Iterable[RankCluster]) -> frozenset:
+    """Every member of a ranking's clusters."""
+    return frozenset(m for cluster in ranking for m in cluster.members)

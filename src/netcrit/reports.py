@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .analysis import OutageImpact, RankingComparison
-from .metrics import RankedClusters
+from .metrics import RankCluster
 from .simulator import RunRecord, SimResult
 from .topology import Topology, natural_key
 
@@ -58,9 +58,8 @@ def read_csv(path: str | Path, columns: Mapping[str, type]) -> list[dict]:
 
 
 def _member_ids(members) -> tuple[str, ...]:
-    """Cluster members in natural order; an edge (u, v) becomes "u-v"."""
-    return tuple(m if isinstance(m, str) else "-".join(m)
-                 for m in sorted(members, key=lambda m: natural_key(str(m))))
+    """Cluster members as ids, in their ranking's order; an edge (u, v) becomes "u-v"."""
+    return tuple(m if isinstance(m, str) else "-".join(m) for m in members)
 
 
 def write_node_metrics(path: str | Path, t: Topology, betweenness, eccentricity,
@@ -75,11 +74,12 @@ def write_edge_metrics(path: str | Path, edge_values: Mapping[tuple[str, str], f
     _write(path, EDGE_METRICS_COLUMNS, ((u, v, edge_values[(u, v)]) for u, v in edges))
 
 
-def write_rankings(path: str | Path, rankings: Mapping[str, RankedClusters]) -> None:
+def write_rankings(path: str | Path, rankings: Mapping[str, Sequence[RankCluster]]) -> None:
     """One row per (metric, cluster)."""
     _write(path, RANKINGS_COLUMNS,
-           ((metric, cluster.rank, _member_ids(cluster.members), cluster.value)
-            for metric, rc in rankings.items() for cluster in rc.clusters))
+           ((metric, rank, _member_ids(cluster.members), cluster.value)
+            for metric, ranking in rankings.items()
+            for rank, cluster in enumerate(ranking, start=1)))
 
 
 def write_timeseries(path: str | Path, result: SimResult) -> None:
@@ -138,16 +138,16 @@ def write_attack_sweep(path: str | Path, impacts: Sequence[OutageImpact]) -> Non
             for rank, i in enumerate(impacts, start=1)))
 
 
-def cluster_summary_text(title: str, rankings: Mapping[str, RankedClusters]) -> str:
+def cluster_summary_text(title: str, rankings: Mapping[str, Sequence[RankCluster]]) -> str:
     """Human-readable cluster table: one line per rank, tied members in parens."""
     lines = [title]
     width = max(len(m) for m in rankings) + 2
-    for metric, rc in rankings.items():
-        for cluster in rc.clusters:
+    for metric, ranking in rankings.items():
+        for rank, cluster in enumerate(ranking, start=1):
             members = ", ".join(_member_ids(cluster.members))
             value = cluster.value
             value_text = str(int(value)) if float(value).is_integer() else f"{value:.4f}"
-            lines.append(f"{metric:<{width}} {cluster.rank:<5} ({members})  {value_text}")
+            lines.append(f"{metric:<{width}} {rank:<5} ({members})  {value_text}")
     return "\n".join(lines) + "\n"
 
 

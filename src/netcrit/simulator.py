@@ -110,6 +110,8 @@ class Scenario:
     def __post_init__(self):
         if self.kind not in ("stable", "dos", "ddos"):
             raise ValueError(f"unknown scenario kind '{self.kind}'")
+        if self.kind == "ddos":  # one canonical target order, so one label per target set
+            object.__setattr__(self, "targets", tuple(sorted(self.targets, key=natural_key)))
         if self.kind == "stable" and self.targets:
             raise ValueError("stable scenario takes no targets")
         if "" in self.targets:
@@ -137,8 +139,7 @@ class Scenario:
     @classmethod
     def ddos(cls, targets,
              attack_forwarding_probability: float = attack_forwarding_probability) -> "Scenario":
-        ordered = tuple(sorted(targets, key=natural_key))
-        return cls(kind="ddos", targets=ordered,
+        return cls(kind="ddos", targets=tuple(targets),
                    attack_forwarding_probability=attack_forwarding_probability)
 
     @classmethod
@@ -151,11 +152,9 @@ class Scenario:
             if rest:
                 raise ValueError("stable scenario takes no targets")
             return cls.stable()
-        if head == "dos":
-            return cls(kind="dos", targets=tuple(rest.split(",")),
+        if head in ("dos", "ddos"):
+            return cls(kind=head, targets=tuple(rest.split(",")),
                        attack_forwarding_probability=attack_forwarding_probability)
-        if head == "ddos":
-            return cls.ddos(rest.split(","), attack_forwarding_probability)
         raise ValueError(f"unknown scenario '{text}' (expected stable | dos:<id> | ddos:<id>,...)")
 
     @property

@@ -17,6 +17,7 @@ from conftest import make_random_topology
 from netcrit import reports
 from netcrit.analysis import rank_by_delay, topk_members
 from netcrit.metrics import (
+    all_members,
     betweenness_centrality,
     eccentricity_centrality,
     edge_betweenness,
@@ -120,35 +121,34 @@ def test_criterion_03_rank_order_reproduction():
     checks = []
 
     bet2 = rank_with_ties(betweenness_centrality(t2), subset=[str(i) for i in range(15)])
-    checks.append([c.members for c in bet2.clusters] == [
-        frozenset({"1", "2"}), frozenset({"0"}), frozenset({"3", "4", "5", "6"}),
-        frozenset({str(i) for i in range(7, 15)})])
+    checks.append([c.members for c in bet2] == [
+        ("1", "2"), ("0",), ("3", "4", "5", "6"), tuple(str(i) for i in range(7, 15))])
 
     bet3 = rank_with_ties(betweenness_centrality(t3), subset=t3.router_ids)
-    expected_ring = [frozenset({"6", "10"}), frozenset({"2", "14"}), frozenset({"1"})]
-    checks.append([c.members for c in bet3.clusters] == expected_ring)
+    expected_ring = [("6", "10"), ("2", "14"), ("1",)]
+    checks.append([c.members for c in bet3] == expected_ring)
 
     eig3 = rank_with_ties(eigenvector_centrality(t3), subset=t3.router_ids)
-    checks.append([c.members for c in eig3.clusters] == expected_ring)
+    checks.append([c.members for c in eig3] == expected_ring)
 
     core2 = [e for e in t2.edge_keys() if not (e[0].startswith("G") or e[1].startswith("G"))]
     edge2 = rank_with_ties(edge_betweenness(t2), subset=core2)
-    leaf_edges = {edge_key(str(p), str(c))
-                  for p, c in [(3, 7), (3, 8), (4, 9), (4, 10), (5, 11), (5, 12),
-                               (6, 13), (6, 14)]}
-    checks.append([c.members for c in edge2.clusters] == [
-        frozenset({edge_key("0", "1"), edge_key("0", "2")}),
-        frozenset({edge_key("1", "3"), edge_key("1", "4"),
-                   edge_key("2", "5"), edge_key("2", "6")}),
-        frozenset(leaf_edges)])
+    # Edge members are in natural order of str(edge), so ('4', '10') precedes ('4', '9').
+    leaf_edges = tuple(edge_key(str(p), str(c))
+                       for p, c in [(3, 7), (3, 8), (4, 10), (4, 9), (5, 11), (5, 12),
+                                    (6, 13), (6, 14)])
+    checks.append([c.members for c in edge2] == [
+        (edge_key("0", "1"), edge_key("0", "2")),
+        (edge_key("1", "3"), edge_key("1", "4"), edge_key("2", "5"), edge_key("2", "6")),
+        leaf_edges])
 
     ring_edges = [edge_key(*e) for e in
                   [("1", "2"), ("2", "6"), ("6", "10"), ("10", "14"), ("14", "1")]]
     edge3 = rank_with_ties(edge_betweenness(t3), subset=ring_edges)
-    checks.append([c.members for c in edge3.clusters] == [
-        frozenset({edge_key("6", "10")}),
-        frozenset({edge_key("2", "6"), edge_key("10", "14")}),
-        frozenset({edge_key("1", "2"), edge_key("1", "14")})])
+    checks.append([c.members for c in edge3] == [
+        (edge_key("6", "10"),),
+        (edge_key("10", "14"), edge_key("2", "6")),
+        (edge_key("1", "14"), edge_key("1", "2"))])
 
     report(3, "rank clusters match on cases 2 and 3", all(checks),
            f"{sum(checks)}/5 cluster structures")
@@ -270,7 +270,7 @@ def test_criterion_11_case2_stable_top_cluster(attack_pool):
     t = attack_pool[2]["topology"]
     ranking = rank_by_delay(attack_pool[2]["stable"], t)
     top = []
-    for cluster in ranking.clusters:
+    for cluster in ranking:
         if len(top) >= 4:
             break
         top.extend(cluster.members)
@@ -287,8 +287,8 @@ def test_criterion_12_sink_adjacent_exclusion(attack_pool):
         sink_adjacent = t.sink_adjacent_routers()
         for results in (attack_pool[case_id]["stable"], attack_pool[case_id]["dos"]):
             ranking = rank_by_delay(results, t)
-            ok = ok and ranking.all_members() == set(t.router_ids) - sink_adjacent
-            for k in range(1, len(ranking.all_members()) + 1):
+            ok = ok and all_members(ranking) == set(t.router_ids) - sink_adjacent
+            for k in range(1, len(all_members(ranking)) + 1):
                 ok = ok and sink_adjacent.isdisjoint(topk_members(ranking, k))
             checked += 1
     report(12, "sink-adjacent routers never ranked", ok,

@@ -13,7 +13,7 @@ from netcrit.analysis import (
     topk_members,
     topk_weights,
 )
-from netcrit.metrics import Direction, eigenvector_centrality, rank_with_ties
+from netcrit.metrics import Direction, all_members, eigenvector_centrality, rank_with_ties
 from netcrit.simulator import RouterSummary, SimResult
 from netcrit.topology import builtin_case, parse_topology
 
@@ -57,21 +57,21 @@ class TestRankByDelay:
         res = fake_result(hub_topology, {"2": 500, "5": 900, "11": 1200, "9": 1000})
         ranking = rank_by_delay([res], hub_topology)
         assert set(topk_members(ranking, 3)) == {"11", "9", "5"}
-        assert ranking.all_members() == {"2", "5", "9", "11"}  # H is sink-adjacent
+        assert all_members(ranking) == {"2", "5", "9", "11"}  # H is sink-adjacent
 
     def test_case2_sink_adjacent_excluded(self):
         t = builtin_case(2)
         res = fake_result(t, {r: float(i) for i, r in enumerate(t.router_ids)})
         ranking = rank_by_delay([res], t)
         assert t.sink_adjacent_routers() == {"1", "2"}
-        assert ranking.all_members() == set(t.router_ids) - {"1", "2"}
+        assert all_members(ranking) == set(t.router_ids) - {"1", "2"}
 
     def test_mean_aggregation_across_seeds(self, hub_topology):
         a = fake_result(hub_topology, {"2": 10, "5": 0, "9": 0, "11": 0})
         b = fake_result(hub_topology, {"2": 30, "5": 4, "9": 0, "11": 0})
         ranking = rank_by_delay([a, b], hub_topology)
-        top = ranking.clusters[0]
-        assert top.members == {"2"}
+        top = ranking[0]
+        assert top.members == ("2",)
         assert top.value == pytest.approx(20.0)
 
     def test_empty_results_rejected(self, hub_topology):
@@ -107,6 +107,18 @@ class TestCompare:
         split = rank_with_ties({"a": 2.0, "b": 1.0})
         assert topk_weights(tied, 1) == {"a": 0.5, "b": 0.5}
         assert overlap_at_k(tied, split, 1) == pytest.approx(0.5)
+
+    def test_overlap_sums_in_natural_order(self):
+        # Both rankings hold a tie cluster straddling k = 2. The terms are
+        # 1/3, 1/3, 1/3 and 1/2, whose float sum depends on their order: the
+        # natural order (2, 6, 10, 14) gives 1.5, while 14 first gives
+        # 1.4999999999999998.
+        tied = rank_with_ties({"14": 1.0, "10": 1.0, "6": 1.0, "2": 1.0})
+        split = rank_with_ties({"14": 2.0, "10": 1.0, "6": 1.0, "2": 1.0})
+        assert [c.members for c in split] == [("14",), ("2", "6", "10")]
+        wa, wb = topk_weights(tied, 2), topk_weights(split, 2)
+        natural = sum(min(wa[m], wb[m]) for m in ("2", "6", "10", "14"))
+        assert overlap_at_k(tied, split, 2) == natural / 2 == 0.75
 
     def test_case3_eigenvector_vs_delay_on_ring(self):
         t = builtin_case(3)

@@ -1,6 +1,9 @@
 import dataclasses
 import filecmp
 import gc
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -10,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import scenarios, topologies
+import netcrit
 from netcrit import cli, reports
 from netcrit.analysis import mean_final_delays, outage_impacts, rank_by_delay
 from netcrit.cli import MAX_SEEDS, RunManifest, main
@@ -135,6 +139,14 @@ class TestSimulateCommand:
         assert acc["generated"] == (acc["delivered_to_sink"] + acc["dropped_by_attack"]
                                     + acc["dropped_by_ttl"] + acc["in_flight_at_end"])
 
+    @pytest.mark.parametrize("option, seeds", [(("--seed", "7"), ("7",)),
+                                               (("--seed=1..2",), ("1", "2"))])
+    def test_seed_prefix_means_seeds(self, tmp_path, option, seeds):
+        # There is one spelling, --seeds; argparse takes the unambiguous prefix.
+        assert run_cli("simulate", "--case", "3", *option, "--duration", "20",
+                       "--out", str(tmp_path)) == 0
+        assert sorted(p.name for p in (tmp_path / "runs" / "stable").iterdir()) == list(seeds)
+
     def test_seed_range_grammar(self, tmp_path):
         assert run_cli("simulate", "--case", "3", "--scenario", "stable",
                        "--seeds", "1..3", "--duration", "20", "--out", str(tmp_path)) == 0
@@ -231,6 +243,23 @@ class TestCompareCommand:
             assert "1" not in row["delay_topk"]  # sink-adjacent router excluded
         report = (tmp_path / "compare" / "report.txt").read_text()
         assert "excluded from delay ranking: 1 (adjacent to sink)" in report
+
+    def test_outputs_identical_across_hash_seeds(self, tmp_path):
+        # Tie clusters straddle k here, so the order overlap@k adds its terms
+        # in shows in the last bits; that order must not follow the string hash.
+        src = Path(netcrit.__file__).resolve().parents[1]
+        for hash_seed in ("0", "4"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src)}
+            subprocess.run([sys.executable, "-m", "netcrit.cli", "compare", "--case", "3",
+                            "--seeds", "1..2", "--duration", "20", "--k", "2",
+                            "--tie-epsilon", "0.5", "--out", str(tmp_path / hash_seed)],
+                           env=env, check=True, capture_output=True)
+        left, right = tmp_path / "0", tmp_path / "4"
+        files = sorted(p.relative_to(left) for p in left.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(right) for p in right.rglob("*") if p.is_file())
+        assert Path("compare", "comparison.csv") in files
+        for name in files:
+            assert (left / name).read_bytes() == (right / name).read_bytes(), name
 
     def test_case2_excluded_list(self, tmp_path):
         assert run_cli("compare", "--case", "2", "--scenario", "stable",
@@ -455,7 +484,9 @@ class TestFailBeforeFirstRun:
     def test_repeated_scenario_label(self, tmp_path):
         t = builtin_case(3)
         for repeated in ((Scenario.stable(), Scenario.stable()),
-                         (Scenario.dos("2"), Scenario.stable(), Scenario.dos("2", 0.5))):
+                         (Scenario.dos("2"), Scenario.stable(), Scenario.dos("2", 0.5)),
+                         # one DDoS with its targets in two orders
+                         (Scenario(kind="ddos", targets=("6", "2")), Scenario.ddos(["2", "6"]))):
             with pytest.raises(ValueError, match="scenarios must be distinct, got "):
                 RunManifest(topology=t, scenarios=repeated, seeds=(1, 2), duration=10.0,
                             out_dir=tmp_path)

@@ -20,7 +20,8 @@ from netcrit.metrics import (
     eigenvector_centrality,
     rank_with_ties,
 )
-from netcrit.topology import NodeRole, Topology, builtin_case, edge_key, parse_topology
+from netcrit.topology import (NodeRole, Topology, builtin_case, edge_key, natural_key,
+                              parse_topology)
 
 # Mirror symmetry of the case-2 tree: swapping the two subtrees under the
 # sink maps these routers (and their generators) onto each other.
@@ -51,16 +52,13 @@ class TestBetweenness:
     def test_case3_cluster_order(self):
         t = builtin_case(3)
         rc = rank_with_ties(betweenness_centrality(t), subset=t.router_ids)
-        assert [c.members for c in rc.clusters] == [
-            frozenset({"6", "10"}), frozenset({"2", "14"}), frozenset({"1"})]
+        assert [c.members for c in rc] == [("6", "10"), ("2", "14"), ("1",)]
 
     def test_case2_cluster_order_with_sink(self):
         t = builtin_case(2)
         rc = rank_with_ties(betweenness_centrality(t), subset=[str(i) for i in range(15)])
-        assert [c.members for c in rc.clusters] == [
-            frozenset({"1", "2"}), frozenset({"0"}),
-            frozenset({"3", "4", "5", "6"}),
-            frozenset({str(i) for i in range(7, 15)})]
+        assert [c.members for c in rc] == [
+            ("1", "2"), ("0",), ("3", "4", "5", "6"), tuple(str(i) for i in range(7, 15))]
 
 
 class TestEdgeBetweenness:
@@ -75,20 +73,21 @@ class TestEdgeBetweenness:
                 if t.roles[e[0]] is not NodeRole.GENERATOR
                 and t.roles[e[1]] is not NodeRole.GENERATOR]
         rc = rank_with_ties(edge_betweenness(t), subset=core)
-        assert rc.clusters[0].members == {edge_key("0", "1"), edge_key("0", "2")}
-        assert rc.clusters[1].members == {
-            edge_key("1", "3"), edge_key("1", "4"), edge_key("2", "5"), edge_key("2", "6")}
-        assert len(rc.clusters[2].members) == 8
+        assert rc[0].members == (edge_key("0", "1"), edge_key("0", "2"))
+        assert rc[1].members == (
+            edge_key("1", "3"), edge_key("1", "4"), edge_key("2", "5"), edge_key("2", "6"))
+        assert len(rc[2].members) == 8
 
     def test_case3_cluster_order(self):
         t = builtin_case(3)
         ring = [edge_key(*e) for e in
                 [("1", "2"), ("2", "6"), ("6", "10"), ("10", "14"), ("14", "1")]]
         rc = rank_with_ties(edge_betweenness(t), subset=ring)
-        assert [c.members for c in rc.clusters] == [
-            frozenset({edge_key("6", "10")}),
-            frozenset({edge_key("2", "6"), edge_key("10", "14")}),
-            frozenset({edge_key("1", "2"), edge_key("1", "14")})]
+        # Edge members are in natural order of str(edge): "('10', '14')" < "('2', '6')".
+        assert [c.members for c in rc] == [
+            (edge_key("6", "10"),),
+            (edge_key("10", "14"), edge_key("2", "6")),
+            (edge_key("1", "14"), edge_key("1", "2"))]
 
 
 class TestEccentricity:
@@ -167,8 +166,7 @@ class TestEigenvector:
     def test_case3_cluster_order(self):
         t = builtin_case(3)
         rc = rank_with_ties(eigenvector_centrality(t), subset=t.router_ids)
-        assert [c.members for c in rc.clusters] == [
-            frozenset({"6", "10"}), frozenset({"2", "14"}), frozenset({"1"})]
+        assert [c.members for c in rc] == [("6", "10"), ("2", "14"), ("1",)]
 
     @given(topologies())
     @settings(max_examples=40)
@@ -301,13 +299,13 @@ class TestSymmetryAndRelabeling:
 class TestRankWithTies:
     def test_simple_clustering(self):
         rc = rank_with_ties({"a": 0.5, "b": 0.5, "c": 0.2})
-        assert [(c.rank, c.members, c.value) for c in rc.clusters] == [
-            (1, frozenset({"a", "b"}), 0.5), (2, frozenset({"c"}), 0.2)]
+        assert [(rank, c.members, c.value) for rank, c in enumerate(rc, 1)] == [
+            (1, ("a", "b"), 0.5), (2, ("c",), 0.2)]
 
     def test_lower_is_critical_sorts_ascending(self):
         rc = rank_with_ties({"a": 4, "b": 7, "c": 4}, Direction.LOWER_IS_CRITICAL)
-        assert rc.clusters[0].members == {"a", "c"}
-        assert rc.clusters[1].members == {"b"}
+        assert rc[0].members == ("a", "c")
+        assert rc[1].members == ("b",)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="nothing to rank"):
@@ -336,11 +334,13 @@ class TestRankWithTies:
     def test_clusters_partition_and_are_monotone(self, values, eps):
         rc = rank_with_ties(values, tie_epsilon=eps)
         seen = set()
-        for cluster in rc.clusters:
-            assert cluster.members.isdisjoint(seen)
-            seen |= cluster.members
+        for cluster in rc:
+            assert list(cluster.members) == sorted(set(cluster.members),
+                                                   key=lambda m: natural_key(str(m)))
+            assert seen.isdisjoint(cluster.members)
+            seen |= set(cluster.members)
             for member in cluster.members:
                 assert abs(values[member] - cluster.value) <= eps
         assert seen == set(values)
-        reps = [c.value for c in rc.clusters]
+        reps = [c.value for c in rc]
         assert all(reps[i] > reps[i + 1] for i in range(len(reps) - 1))

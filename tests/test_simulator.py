@@ -148,6 +148,12 @@ class TestScenario:
         assert Scenario.from_string("ddos:2,6").targets == ("2", "6")
         assert Scenario.from_string("ddos:14,2").targets == ("2", "14")
 
+    def test_ddos_targets_have_one_order(self):
+        reordered = Scenario(kind="ddos", targets=("6", "2"))
+        assert reordered == Scenario.ddos(["2", "6"]) == Scenario.from_string("ddos:6,2")
+        assert reordered.label == "ddos:2,6"
+        assert Scenario(kind="ddos", targets=("14", "2")).label == "ddos:2,14"
+
     def test_labels_round_trip(self):
         for text in ("stable", "dos:5", "ddos:2,6"):
             assert Scenario.from_string(text).label == text

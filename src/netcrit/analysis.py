@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import fmean
 from typing import Iterable, Mapping, Sequence
 
 from .metrics import TIE_EPSILON, Direction, RankCluster, all_members, rank_with_ties
@@ -79,12 +78,18 @@ def rank_by_delay(
                           Direction.HIGHER_IS_CRITICAL, tie_epsilon)
 
 
+def _mean(xs: list) -> float:
+    """``statistics.fmean(xs)`` to the bit (CPython's is ``fsum / len``),
+    without importing ``statistics`` and the ``decimal`` it loads."""
+    return math.fsum(xs) / len(xs)
+
+
 def mean_final_delays(runs: Sequence[RunRecord], routers: Iterable[str]) -> dict[str, float]:
     """Final delay of each router, averaged over the runs (one per seed).
 
     ``runs`` are run records or full ``SimResult``s.
     """
-    return {router: fmean(res.routers[router].final_delay for res in runs) for router in routers}
+    return {router: _mean([res.routers[router].final_delay for res in runs]) for router in routers}
 
 
 @dataclass(frozen=True)
@@ -115,7 +120,7 @@ def outage_impacts(
     declaration order.
     """
     baseline = results["stable"]
-    base_delivered = fmean(r.delivered_to_sink for r in baseline)
+    base_delivered = _mean([r.delivered_to_sink for r in baseline])
     if base_delivered == 0:
         raise ValueError("stable baseline delivered no packets, so delivery loss is "
                          "undefined; run longer (--duration)")
@@ -123,14 +128,14 @@ def outage_impacts(
     impacts = []
     for router in t.router_ids:
         runs = results[f"dos:{router}"]
-        delivered = fmean(r.delivered_to_sink for r in runs)
+        delivered = _mean([r.delivered_to_sink for r in runs])
         survivors = [x for x in t.router_ids if x != router]
         delay = mean_final_delays(runs, survivors)
         impacts.append(OutageImpact(
             router_id=router,
             delivered=delivered,
             delivery_loss_pct=100.0 * (base_delivered - delivered) / base_delivered,
-            survivor_delay_shift_s=fmean([delay[x] - base_delay[x] for x in survivors] or [0.0]),
+            survivor_delay_shift_s=_mean([delay[x] - base_delay[x] for x in survivors] or [0.0]),
         ))
     impacts.sort(key=lambda impact: -impact.delivery_loss_pct)
     return base_delivered, impacts

@@ -221,22 +221,30 @@ def _power_iteration(a: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     # Iterate on A + I: the diagonal shift leaves eigenvectors unchanged but
     # guarantees convergence on bipartite graphs (trees), where the raw
     # adjacency spectrum is symmetric and plain power iteration oscillates.
+    # The shift is written into ``a`` itself, so only one n x n matrix is
+    # live, and the saved diagonal is written back exactly in ``finally``.
     n = a.shape[0]
-    m = a.copy()
-    m.flat[:: n + 1] += 1.0
+    diagonal = a.diagonal().copy()
+    shifted = diagonal + 1.0
     x = np.full(n, 1.0 / np.sqrt(n))
     residual = np.inf
-    for _ in range(max_iter):
-        y = m @ x
-        y /= np.linalg.norm(y)
-        diff = float(np.max(np.abs(y - x)))
-        x = y
-        if diff < tol:
-            ax = a @ x
-            lam = float(x @ ax)
-            residual = float(np.max(np.abs(ax - lam * x)))
-            if residual <= 10.0 * tol:
-                return x
+    try:
+        a.flat[:: n + 1] = shifted
+        for _ in range(max_iter):
+            y = a @ x
+            y /= np.linalg.norm(y)
+            diff = float(np.max(np.abs(y - x)))
+            x = y
+            if diff < tol:
+                a.flat[:: n + 1] = diagonal
+                ax = a @ x
+                a.flat[:: n + 1] = shifted
+                lam = float(x @ ax)
+                residual = float(np.max(np.abs(ax - lam * x)))
+                if residual <= 10.0 * tol:
+                    return x
+    finally:
+        a.flat[:: n + 1] = diagonal
     raise PowerIterationError(max_iter, residual)
 
 

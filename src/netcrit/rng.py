@@ -16,7 +16,6 @@ about 8 KB of Python floats per stream), never the draws.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 from typing import Callable
 
@@ -28,6 +27,7 @@ _SEP = b"\x1f"  # unit separator; cannot appear in whitespace-free node ids
 
 def substream_seed(seed: int, *scope: str) -> int:
     """Derive a 128-bit PCG64 seed from the run seed and a scope path."""
+    import hashlib  # maps libcrypto (~3.4 MB), so loaded only once a run seeds
     if not 0 <= seed < 2**64:
         raise ValueError("seed must be an unsigned 64-bit integer")
     material = seed.to_bytes(8, "little") + _SEP + _SEP.join(s.encode("utf-8") for s in scope)

@@ -181,8 +181,9 @@ def check_monitor_samples(routers: int, config: SimConfig) -> None:
     ticks = config.duration / config.monitor_interval  # inf only on overflow
     count = routers * (math.floor(ticks) if math.isfinite(ticks) else ticks)
     if count > MAX_MONITOR_SAMPLES:
+        shown = f"{count:,}" if count < 10**18 else f"{routers * ticks:.3g}"  # not 300 digits long
         raise ValueError(
-            f"run would hold {count:,} monitor samples ({routers} routers x "
+            f"run would hold {shown} monitor samples ({routers} routers x "
             f"duration / monitor_interval), over the cap of {MAX_MONITOR_SAMPLES:,}; "
             "shorten the duration or lengthen the monitor interval")
 

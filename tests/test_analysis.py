@@ -1,3 +1,4 @@
+import statistics
 from array import array
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netcrit.analysis import (
+    _mean,
     compare_rankings,
     midranks,
     overlap_at_k,
@@ -73,6 +75,13 @@ class TestRankByDelay:
         top = ranking[0]
         assert top.members == ("2",)
         assert top.value == pytest.approx(20.0)
+
+    @given(st.one_of(
+        st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=1, max_size=50),
+        st.lists(st.integers(min_value=-2**63, max_value=2**63), min_size=1, max_size=50)))
+    def test_mean_is_fmean_to_the_bit(self, xs):
+        # delay_by_scenario.csv and attack_sweep.csv print these means with repr.
+        assert _mean(xs).hex() == statistics.fmean(xs).hex()
 
     def test_empty_results_rejected(self, hub_topology):
         with pytest.raises(ValueError, match="at least one"):

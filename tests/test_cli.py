@@ -72,6 +72,22 @@ class TestMetricsCommand:
         assert calls == {"betweenness_centrality": 1, "eccentricity_centrality": 1,
                          "eigenvector_centrality": 1, "edge_betweenness": 1}
 
+    def test_loads_no_simulation_only_modules(self, tmp_path):
+        # hashlib (seeding, about 3.4 MB of libcrypto) and statistics are for
+        # simulations; compare with what numpy itself loads, since numpy 1.x
+        # imports numpy.random, and so hashlib, eagerly.
+        script = ("import sys, numpy\n"
+                  "base = set(sys.modules)\n"
+                  "from netcrit import cli\n"
+                  f"assert cli.main(['metrics', '--case', '2', '--out', {str(tmp_path)!r}]) == 0\n"
+                  "added = {'hashlib', 'statistics'} & (set(sys.modules) - base)\n"
+                  "print('added:', *sorted(added))\n")
+        src = Path(netcrit.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                              capture_output=True, text=True)
+        assert done.stdout.splitlines()[-1] == "added:"
+
     def test_non_finite_tie_epsilon_is_an_error(self, tmp_path, capsys):
         rc = run_cli("metrics", "--case", "3", "--tie-epsilon", "nan", "--out", str(tmp_path))
         assert rc == 1
@@ -442,6 +458,7 @@ _SEED_RULES = [("1,-1", "seeds must be unsigned 64-bit integers, got -1"),
                (f"1,{2**64}", f"seeds must be unsigned 64-bit integers, got {2**64}")]
 _RUN_RULES = [(("--scenario", "dos:99"), "scenario targets unknown routers: 99"),
               (("--duration", "1e12"), "run would hold"),
+              (("--monitor-interval", "1e-300"), "run would hold 5e+301 monitor samples ("),
               (("--service-rate", "nan"), "router_service_rate must be finite")]
 _COMPARE_RULES = [(("--tie-epsilon", "nan"), "tie_epsilon must be finite"),
                   (("--k", "10"), "k=10 larger than ranked universe")]
@@ -463,7 +480,9 @@ class TestFailBeforeFirstRun:
         rc = run_cli(command, "--case", "3", "--seeds", "1..2", "--duration", "10",
                      *option, "--out", str(tmp_path))
         assert rc == 1
-        assert capsys.readouterr().err.startswith(f"error: {message}")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1 and len(err.encode()) <= 200
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "compare", "case-study", "sweep"])

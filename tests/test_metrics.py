@@ -12,6 +12,7 @@ from netcrit.metrics import (
     EIGENVECTOR_TOL,
     SOURCE_BLOCK,
     Direction,
+    PowerIterationError,
     _power_iteration,
     _shortest_paths,
     betweenness_centrality,
@@ -152,6 +153,21 @@ class TestEigenvector:
         x = _power_iteration(a, tol=1e-9, max_iter=1000)
         assert np.allclose(x, 0.5, atol=1e-9)
 
+    def test_argument_left_unchanged(self):
+        # The A + I shift is made in place; it must be undone exactly on
+        # return and on raise, even for a diagonal entry such as 1e-20 that
+        # ``+= 1.0`` followed by ``-= 1.0`` would turn into 0.0.
+        a = np.zeros((5, 5))
+        for i in range(4):  # a path, so one iteration does not converge
+            a[i, i + 1] = a[i + 1, i] = 1.0
+        a[2, 2] = 1e-20
+        before = a.copy()
+        _power_iteration(a, tol=1e-9, max_iter=1000)
+        assert a.tobytes() == before.tobytes()
+        with pytest.raises(PowerIterationError):
+            _power_iteration(a, tol=1e-9, max_iter=1)
+        assert a.tobytes() == before.tobytes()
+
     def test_star_center_to_leaf_ratio_sqrt3(self):
         t = star4()
         eig = eigenvector_centrality(t)
@@ -253,6 +269,18 @@ class TestExactOrder:
         finally:
             tracemalloc.stop()
         assert peak <= 1_000_000
+
+    def test_eigenvector_memory_budget(self):
+        # One n x n matrix: the diagonal shift is made in place, not in a copy.
+        t = parse_topology(chorded_ring_text(250), name="ring250")
+        n = len(t.nodes)
+        tracemalloc.start()
+        try:
+            eigenvector_centrality(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * n * n * 8
 
 
 class TestSymmetryAndRelabeling:

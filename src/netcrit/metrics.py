@@ -17,10 +17,12 @@ Conventions, fixed for the whole package:
 Node betweenness, edge betweenness and eccentricity come from one shared
 shortest-path pass per topology (one BFS per source), cached for the last
 topology seen. The pass runs in numpy over blocks of ``SOURCE_BLOCK`` sources,
-one BFS level at a time, so its working set grows with the block times the
-edge count rather than with n^2. It still adds every sum's terms in the
-order of a queue-based BFS over one source at a time, so each float is
-bit-identical to that plain pass, which the tests keep as the reference.
+one BFS level at a time, and keeps each level as a one-byte source row and
+an int32 CSR slot per shortest-path pair, so its working set grows with the
+block times the edge count rather than with n^2. It still adds every sum's
+terms in the order of a queue-based BFS over one source at a time, so each
+float is bit-identical to that plain pass, which the tests keep as the
+reference.
 
 A ranking is a plain tuple of ``RankCluster``s, most critical first.
 ``rank_with_ties`` sorts each cluster's members once, in natural order, and
@@ -55,7 +57,7 @@ class PowerIterationError(RuntimeError):
 
 # Sources per block of the shortest-path pass: its arrays hold O(SOURCE_BLOCK
 # x edges) entries at once, not O(nodes^2).
-SOURCE_BLOCK = 16
+SOURCE_BLOCK = 24
 
 # Power iteration of eigenvector_centrality: step tolerance and iteration budget.
 EIGENVECTOR_TOL = 1e-9
@@ -70,7 +72,7 @@ def _shortest_paths(t: Topology):
     (Brandes 2008, "On variants of shortest-path betweenness centrality and
     their generic computation"), and the BFS also gives its eccentricity.
     Nodes are numbered in adjacency order and edges in first-seen order of
-    ``edge_key`` over that adjacency. Returns five tuples, so the cached
+    their node pair over that adjacency. Returns five tuples, so the cached
     result cannot be mutated: node ids, node sums, edge keys, edge sums (sums
     over ordered pairs; callers halve them for undirected graphs) and each
     node's eccentricity, the distance of the last node its BFS reaches or
@@ -85,45 +87,57 @@ def _shortest_paths(t: Topology):
     adj = t.adjacency
     nodes = list(adj)
     index = {v: i for i, v in enumerate(nodes)}
-    slot: dict[tuple[str, str], int] = {}
-    nbr = np.array([index[w] for v in nodes for w in adj[v]], dtype=np.intp)
-    eid = np.array([slot.setdefault(edge_key(v, w), len(slot)) for v in nodes for w in adj[v]],
-                   dtype=np.intp)
     n = len(nodes)
+    deg = [len(adj[v]) for v in nodes]
+    owner = np.repeat(np.arange(n), deg)
+    nbr = np.array([index[w] for v in nodes for w in adj[v]], dtype=np.intp)
+    slot: dict[tuple[int, int], int] = {}
+    eid = np.array([slot.setdefault((v, w) if v <= w else (w, v), len(slot))
+                    for v, w in zip(owner.tolist(), nbr.tolist())], dtype=np.intp)
     start = np.zeros(n + 1, dtype=np.intp)
-    start[1:] = np.cumsum([len(adj[v]) for v in nodes])
+    start[1:] = np.cumsum(deg)
     node_acc = np.zeros(n)
     edge_acc = np.zeros(len(slot))
     ecc: list[int | None] = []
     for first in range(0, n, SOURCE_BLOCK):
         sources = np.arange(first, min(first + SOURCE_BLOCK, n))
-        ecc += _accumulate(sources, start, nbr, eid, node_acc, edge_acc)
-    return tuple(nodes), tuple(node_acc.tolist()), tuple(slot), tuple(edge_acc.tolist()), tuple(ecc)
+        ecc += _accumulate(sources, start, owner, nbr, eid, node_acc, edge_acc)
+    edges = tuple(edge_key(nodes[v], nodes[w]) for v, w in slot)
+    return tuple(nodes), tuple(node_acc.tolist()), edges, tuple(edge_acc.tolist()), tuple(ecc)
 
 
-def _accumulate(sources: np.ndarray, start: np.ndarray, nbr: np.ndarray, eid: np.ndarray,
-                node_acc: np.ndarray, edge_acc: np.ndarray) -> list[int | None]:
+def _accumulate(sources: np.ndarray, start: np.ndarray, owner: np.ndarray, nbr: np.ndarray,
+                eid: np.ndarray, node_acc: np.ndarray, edge_acc: np.ndarray) -> list[int | None]:
     """Add the Brandes sums of one block of sources into ``node_acc`` and
     ``edge_acc``; return each source's eccentricity.
 
-    The graph is in CSR form: node v's neighbours are ``nbr[start[v]:start[v+1]]``
-    in adjacency order, and ``eid`` holds each entry's edge slot. Per-source
-    state is one flat array of ``len(sources) * n`` entries, row i for the
-    i-th source, so one numpy call serves the whole block.
+    The graph is in CSR form: CSR slot k holds the entry of node ``owner[k]``
+    for neighbour ``nbr[k]``, node v's entries are slots ``start[v]`` to
+    ``start[v+1]`` in adjacency order, and ``eid[k]`` is the entry's edge.
+    Per-source state is one flat array of ``len(sources) * n`` entries, row
+    i for the i-th source, so one numpy call serves the whole block.
 
     BFS, one level at a time: a level's candidate pairs (v, w) come in
     (frontier position, adjacency) order, which is the order a FIFO queue
-    visits them. A new node's BFS position is its first occurrence among the
-    candidates, found with ``np.minimum.at``, which does not depend on the
-    order it sees them in. Path counts are scattered with ``np.bincount``,
-    which adds its weights in input order, so each sigma[w] is the queue
-    pass's sum from 0.0. The sweep goes from the deepest level up: each
-    level's pairs are sorted stably by descending BFS position of w, the
-    queue pass's reversed order, and ``bincount`` adds their terms into
-    delta. Every v gets all of its terms from one level, starting from 0.0.
+    visits them. The fresh pairs, those whose w has no distance yet, are
+    exactly the level's shortest-path DAG pairs, so the candidates are
+    filtered once. A new node's position in its level is its first
+    occurrence among them, found with ``np.minimum.at``, which does not
+    depend on the order it sees them in. Path counts are summed with
+    ``np.bincount`` over the level positions of w; it adds its weights in
+    input order, so each sigma[w] is the queue pass's sum from 0.0. A level
+    is kept as each pair's row and CSR slot, in sweep order: sorted by
+    descending level position of w, the queue pass's reversed order. The sort
+    keys are the smallest unsigned type that holds them, so
+    ``argsort(kind="stable")`` is numpy's radix sort, which keeps equal keys
+    in input order. The sweep goes from the deepest level up, and
+    ``bincount`` over the level positions of v sums each level's terms into
+    delta; every v gets all of its terms from one level, starting from 0.0.
+    Both sums touch only the level's pairs, not every entry of the block.
     Edge sums are shared by every source, so their terms are applied with
-    ``np.add.at`` after the sweep, sorted stably by source. Node sums add one
-    row per source, in source order, with the source's own entry zeroed.
+    ``np.add.at`` after the sweep, sorted stably by row, that is by source.
+    Node sums add one row per source, in source order, with the source's own
+    entry zeroed.
     """
     b, n = len(sources), len(node_acc)
     size = b * n
@@ -133,7 +147,9 @@ def _accumulate(sources: np.ndarray, start: np.ndarray, nbr: np.ndarray, eid: np
     sigma = np.zeros(size)
     sigma[roots] = 1.0
     pos = np.zeros(size, dtype=np.intp)  # discovery order within the node's level
+    pos[roots] = np.arange(b)
     first_seen = np.full(size, np.iinfo(np.intp).max, dtype=np.intp)
+    row_type = np.min_scalar_type(b)
     levels = []
     frontier, fnode = roots, sources  # flat index and node id of each frontier entry
     depth = 0
@@ -142,29 +158,33 @@ def _accumulate(sources: np.ndarray, start: np.ndarray, nbr: np.ndarray, eid: np
         deg = start[fnode + 1] - start[fnode]
         ends = np.cumsum(deg)
         k = np.arange(ends[-1]) + np.repeat(start[fnode] - ends + deg, deg)
-        v = np.repeat(frontier, deg)
-        w = np.repeat(frontier - fnode, deg) + nbr[k]
+        base = np.repeat(frontier - fnode, deg)  # row * n
+        w = base + nbr[k]
         fresh = np.flatnonzero(dist[w] < 0)
-        np.minimum.at(first_seen, w[fresh], fresh)
-        new = fresh[first_seen[w[fresh]] == fresh]
+        k, base, w = k[fresh], base[fresh], w[fresh]
+        idx = np.arange(w.size)
+        np.minimum.at(first_seen, w, idx)
+        new = np.flatnonzero(first_seen[w] == idx)
         frontier, fnode = w[new], nbr[k[new]]
         dist[frontier] = depth
-        pos[frontier] = np.arange(new.size)
-        dag = np.flatnonzero(dist[w] == depth)
-        v, w, e = v[dag], w[dag], eid[k[dag]]
-        sigma += np.bincount(w, weights=sigma[v], minlength=size)
-        order = np.argsort(-pos[w], kind="stable")
-        levels.append((v[order], w[order], e[order]))
+        pos[frontier] = idx[:new.size]
+        at = pos[w]
+        sigma[frontier] = np.bincount(at, weights=sigma[base + owner[k]])
+        order = np.argsort((new.size - at).astype(np.min_scalar_type(new.size)), kind="stable")
+        levels.append(((base[order] // n).astype(row_type), k[order].astype(np.int32)))
 
     delta = np.zeros(size)
-    swept = []
-    for v, w, e in reversed(levels):
+    coeffs = []
+    for row, k in reversed(levels):
+        base = row.astype(np.intp) * n
+        v, w = base + owner[k], base + nbr[k]
         c = sigma[v] * ((1.0 + delta[w]) / sigma[w])
-        delta += np.bincount(v, weights=c, minlength=size)
-        swept.append((v // n, e, c))
-    row, e, c = (np.concatenate(parts) for parts in zip(*swept))
+        at = pos[v]
+        delta[v] = np.bincount(at, weights=c)[at]
+        coeffs.append(c)
+    row, k = (np.concatenate(parts[::-1]) for parts in zip(*levels))
     by_source = np.argsort(row, kind="stable")
-    np.add.at(edge_acc, e[by_source], c[by_source])
+    np.add.at(edge_acc, eid[k[by_source]], np.concatenate(coeffs)[by_source])
     delta[roots] = 0.0
     for dependencies in delta.reshape(b, n):
         node_acc += dependencies

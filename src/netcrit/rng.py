@@ -27,7 +27,10 @@ _SEP = b"\x1f"  # unit separator; cannot appear in whitespace-free node ids
 
 def substream_seed(seed: int, *scope: str) -> int:
     """Derive a 128-bit PCG64 seed from the run seed and a scope path."""
-    import hashlib  # maps libcrypto (~3.4 MB), so loaded only once a run seeds
+    # Imported here so that `netcrit metrics`, which seeds no stream, does not map
+    # libcrypto (~3.4 MB). A run maps it anyway: numpy.random imports secrets,
+    # hmac and _hashlib as soon as it builds a PCG64.
+    import hashlib
     if not 0 <= seed < 2**64:
         raise ValueError("seed must be an unsigned 64-bit integer")
     material = seed.to_bytes(8, "little") + _SEP + _SEP.join(s.encode("utf-8") for s in scope)

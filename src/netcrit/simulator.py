@@ -190,14 +190,27 @@ def check_monitor_samples(routers: int, config: SimConfig) -> None:
 
 def check_run_inputs(topology: Topology, config: SimConfig, scenario: Scenario) -> None:
     """Raise ValueError unless every target of ``scenario`` is a router of
-    ``topology`` and the run passes ``check_monitor_samples``. ``run`` calls
-    it first, and ``RunManifest`` for each scenario before the first run.
+    ``topology`` and the run passes ``check_monitor_samples``, and
+    SimulationLimitError if the generators' traffic alone would exceed
+    ``EVENT_CAP``. ``run`` calls it first, and ``RunManifest`` for each
+    scenario before the first run.
+
+    Each packet costs at least two events, its generation and its first
+    arrival, so a run expects at least 2 x generators x duration /
+    mean_interarrival of them.
     """
     routers = topology.router_ids
     unknown = [t for t in scenario.targets if t not in routers]
     if unknown:
         raise ValueError(f"scenario targets unknown routers: {', '.join(unknown)}")
     check_monitor_samples(len(routers), config)
+    generators = len(topology.generator_ids)
+    events = 2 * generators * (config.duration / config.mean_interarrival)  # inf on overflow
+    if events > EVENT_CAP:
+        raise SimulationLimitError(
+            f"run would generate {events:.3g} events (2 x {generators} generators x "
+            f"duration / mean_interarrival), over the event cap of {EVENT_CAP:,}; "
+            "shorten the duration or lengthen the mean inter-arrival")
 
 
 @dataclass(frozen=True)

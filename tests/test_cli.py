@@ -459,6 +459,7 @@ _SEED_RULES = [("1,-1", "seeds must be unsigned 64-bit integers, got -1"),
 _RUN_RULES = [(("--scenario", "dos:99"), "scenario targets unknown routers: 99"),
               (("--duration", "1e12"), "run would hold"),
               (("--monitor-interval", "1e-300"), "run would hold 5e+301 monitor samples ("),
+              (("--mean-interarrival", "1e-9"), "run would generate"),
               (("--service-rate", "nan"), "router_service_rate must be finite")]
 _COMPARE_RULES = [(("--tie-epsilon", "nan"), "tie_epsilon must be finite"),
                   (("--k", "10"), "k=10 larger than ranked universe")]

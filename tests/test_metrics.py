@@ -247,6 +247,12 @@ class TestExactOrder:
                  edges=(("a", "b"), ("b", "c"), ("d", "e"))),
         Topology(name="one", nodes=(("a", NodeRole.ROUTER),), edges=()),
         Topology(name="empty", nodes=(), edges=()),
+        # One node per level, deeper than any generated topology.
+        Topology(name="path40", nodes=tuple((str(i), NodeRole.ROUTER) for i in range(40)),
+                 edges=tuple((str(i), str(i + 1)) for i in range(39))),
+        # One very wide level: 300 nodes from the hub, 299 from each leaf.
+        Topology(name="star300", nodes=tuple((str(i), NodeRole.ROUTER) for i in range(301)),
+                 edges=tuple(("0", str(i)) for i in range(1, 301))),
     ], ids=lambda t: t.name)
     def test_odd_graphs(self, t):
         assert _shortest_paths.__wrapped__(t) == oracles.reference_shortest_paths(t)

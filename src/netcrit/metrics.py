@@ -14,15 +14,16 @@ Conventions, fixed for the whole package:
 * Eigenvector: dominant eigenvector of the adjacency matrix, unit Euclidean
   norm, all entries nonnegative.
 
-Node betweenness, edge betweenness and eccentricity come from one shared
-shortest-path pass per topology (one BFS per source), cached for the last
-topology seen. The pass runs in numpy over blocks of ``SOURCE_BLOCK`` sources,
-one BFS level at a time, and keeps each level as a one-byte source row and
-an int32 CSR slot per shortest-path pair, so its working set grows with the
-block times the edge count rather than with n^2. It still adds every sum's
-terms in the order of a queue-based BFS over one source at a time, so each
-float is bit-identical to that plain pass, which the tests keep as the
-reference.
+Every metric numbers a topology's nodes once, in ``_graph``. Node betweenness,
+edge betweenness and eccentricity come from one shared shortest-path pass per
+topology (one BFS per source), cached for the last topology seen. The pass
+runs in numpy over blocks of ``SOURCE_BLOCK`` sources, one BFS level at a
+time, and keeps each level as a one-byte source row and an int32 CSR slot per
+shortest-path pair, so its working set grows with the block times the edge
+count rather than with n^2. It still adds every sum's terms in the order of a
+queue-based BFS over one source at a time, so each float is bit-identical to
+that plain pass, which the tests keep as the reference. The eigenvector
+iterates on A + I, in the one dense n x n matrix it builds and owns.
 
 A ranking is a plain tuple of ``RankCluster``s, most critical first.
 ``rank_with_ties`` sorts each cluster's members once, in natural order, and
@@ -64,6 +65,19 @@ EIGENVECTOR_TOL = 1e-9
 EIGENVECTOR_MAX_ITER = 10_000
 
 
+def _graph(t: Topology):
+    """Node ids in adjacency order and the graph's CSR arrays over them: node
+    v has ``deg[v]`` slots, in adjacency order, and slot k is the entry of
+    node ``owner[k]`` for neighbour ``nbr[k]``."""
+    adj = t.adjacency
+    nodes = list(adj)
+    index = {v: i for i, v in enumerate(nodes)}
+    deg = [len(adj[v]) for v in nodes]
+    owner = np.repeat(np.arange(len(nodes)), deg)
+    nbr = np.array([index[w] for v in nodes for w in adj[v]], dtype=np.intp)
+    return nodes, deg, owner, nbr
+
+
 @lru_cache(maxsize=1)
 def _shortest_paths(t: Topology):
     """One pass of Brandes' accumulation over every source, on integer ids.
@@ -71,8 +85,8 @@ def _shortest_paths(t: Topology):
     Each source's BFS and dependency sweep yield node and edge sums at once
     (Brandes 2008, "On variants of shortest-path betweenness centrality and
     their generic computation"), and the BFS also gives its eccentricity.
-    Nodes are numbered in adjacency order and edges in first-seen order of
-    their node pair over that adjacency. Returns five tuples, so the cached
+    Nodes are numbered by ``_graph`` and edges in first-seen order of their
+    node pair over its CSR slots. Returns five tuples, so the cached
     result cannot be mutated: node ids, node sums, edge keys, edge sums (sums
     over ordered pairs; callers halve them for undirected graphs) and each
     node's eccentricity, the distance of the last node its BFS reaches or
@@ -84,13 +98,8 @@ def _shortest_paths(t: Topology):
     tests as the reference), because each sum adds the same terms in the
     same order; ``_accumulate`` says how.
     """
-    adj = t.adjacency
-    nodes = list(adj)
-    index = {v: i for i, v in enumerate(nodes)}
+    nodes, deg, owner, nbr = _graph(t)
     n = len(nodes)
-    deg = [len(adj[v]) for v in nodes]
-    owner = np.repeat(np.arange(n), deg)
-    nbr = np.array([index[w] for v in nodes for w in adj[v]], dtype=np.intp)
     slot: dict[tuple[int, int], int] = {}
     eid = np.array([slot.setdefault((v, w) if v <= w else (w, v), len(slot))
                     for v, w in zip(owner.tolist(), nbr.tolist())], dtype=np.intp)
@@ -226,45 +235,34 @@ def eigenvector_centrality(t: Topology) -> dict[str, float]:
     with lambda the Rayleigh quotient. Raises PowerIterationError if that
     residual bound is not reached within ``EIGENVECTOR_MAX_ITER`` iterations.
     """
-    ids = [nid for nid, _ in t.nodes]
-    index = {nid: i for i, nid in enumerate(ids)}
-    n = len(ids)
-    a = np.zeros((n, n))
-    for u, v in t.edges:
-        a[index[u], index[v]] = 1.0
-        a[index[v], index[u]] = 1.0
-    x = _power_iteration(a, EIGENVECTOR_TOL, EIGENVECTOR_MAX_ITER)
-    return {nid: float(x[index[nid]]) for nid in ids}
+    nodes, _, owner, nbr = _graph(t)
+    n = len(nodes)
+    b = np.zeros((n, n))
+    b[owner, nbr] = 1.0
+    b.flat[:: n + 1] += 1.0
+    x = _power_iteration(b, EIGENVECTOR_TOL, EIGENVECTOR_MAX_ITER)
+    return dict(zip(nodes, x.tolist()))
 
 
-def _power_iteration(a: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    # Iterate on A + I: the diagonal shift leaves eigenvectors unchanged but
-    # guarantees convergence on bipartite graphs (trees), where the raw
-    # adjacency spectrum is symmetric and plain power iteration oscillates.
-    # The shift is written into ``a`` itself, so only one n x n matrix is
-    # live, and the saved diagonal is written back exactly in ``finally``.
-    n = a.shape[0]
-    diagonal = a.diagonal().copy()
-    shifted = diagonal + 1.0
+def _power_iteration(b: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+    # ``b`` is A + I: the shift leaves eigenvectors unchanged but guarantees
+    # convergence on bipartite graphs (trees), where the raw adjacency
+    # spectrum is symmetric and plain power iteration oscillates. The
+    # residual is A's too, since (A + I) x - (lambda + 1) x = A x - lambda x.
+    n = b.shape[0]
     x = np.full(n, 1.0 / np.sqrt(n))
     residual = np.inf
-    try:
-        a.flat[:: n + 1] = shifted
-        for _ in range(max_iter):
-            y = a @ x
-            y /= np.linalg.norm(y)
-            diff = float(np.max(np.abs(y - x)))
-            x = y
-            if diff < tol:
-                a.flat[:: n + 1] = diagonal
-                ax = a @ x
-                a.flat[:: n + 1] = shifted
-                lam = float(x @ ax)
-                residual = float(np.max(np.abs(ax - lam * x)))
-                if residual <= 10.0 * tol:
-                    return x
-    finally:
-        a.flat[:: n + 1] = diagonal
+    for _ in range(max_iter):
+        y = b @ x
+        y /= np.linalg.norm(y)
+        diff = float(np.max(np.abs(y - x)))
+        x = y
+        if diff < tol:
+            bx = b @ x
+            lam = float(x @ bx)
+            residual = float(np.max(np.abs(bx - lam * x)))
+            if residual <= 10.0 * tol:
+                return x
     raise PowerIterationError(max_iter, residual)
 
 
@@ -305,14 +303,11 @@ def rank_with_ties(
     """
     if not (math.isfinite(tie_epsilon) and tie_epsilon >= 0):
         raise ValueError("tie_epsilon must be finite and >= 0")
-    if subset is not None:
-        keys = list(subset)
-        missing = [k for k in keys if k not in values]
-        if missing:
-            raise ValueError(f"subset ids not present in values: {missing}")
-        items = [(k, float(values[k])) for k in keys]
-    else:
-        items = [(k, float(v)) for k, v in values.items()]
+    keys = list(values if subset is None else subset)
+    missing = [k for k in keys if k not in values]
+    if missing:
+        raise ValueError(f"subset ids not present in values: {missing}")
+    items = [(k, float(values[k])) for k in keys]
     if not items:
         raise ValueError("nothing to rank")
 

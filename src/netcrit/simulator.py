@@ -39,7 +39,7 @@ from heapq import heappop, heappush
 from typing import Callable
 
 from .rng import stream
-from .topology import Topology, build_routing_table, natural_key
+from .topology import Topology, build_routing_table, natural_key, validate_topology
 
 
 class SimulationLimitError(RuntimeError):
@@ -189,16 +189,17 @@ def check_monitor_samples(routers: int, config: SimConfig) -> None:
 
 
 def check_run_inputs(topology: Topology, config: SimConfig, scenario: Scenario) -> None:
-    """Raise ValueError unless every target of ``scenario`` is a router of
-    ``topology`` and the run passes ``check_monitor_samples``, and
-    SimulationLimitError if the generators' traffic alone would exceed
-    ``EVENT_CAP``. ``run`` calls it first, and ``RunManifest`` for each
+    """Raise TopologyError unless ``topology`` passes ``validate_topology``,
+    ValueError unless every target of ``scenario`` is a router of it and the
+    run passes ``check_monitor_samples``, and SimulationLimitError if the
+    generators' traffic alone would exceed ``EVENT_CAP``. ``run`` calls it first, and ``RunManifest`` for each
     scenario before the first run.
 
     Each packet costs at least two events, its generation and its first
     arrival, so a run expects at least 2 x generators x duration /
     mean_interarrival of them.
     """
+    validate_topology(topology)
     routers = topology.router_ids
     unknown = [t for t in scenario.targets if t not in routers]
     if unknown:

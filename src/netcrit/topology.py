@@ -102,6 +102,7 @@ def validate_topology(t: Topology) -> None:
     """Raise TopologyError naming the violated invariant and the offending element."""
     seen: set[str] = set()
     for nid, _ in t.nodes:
+        _check_node_id(nid)
         if nid in seen:
             raise TopologyError(f"duplicate node id '{nid}'")
         seen.add(nid)
@@ -165,6 +166,13 @@ _ROLES_BY_NAME = {r.value: r for r in NodeRole}
 _NODE_ID = re.compile(r"[A-Za-z0-9_]+")
 
 
+def _check_node_id(nid: str, where: str = "") -> None:
+    """Node ids are ASCII letters, digits and underscores, so they are safe as
+    directory names and never clash with the edge, scenario or CSV syntax."""
+    if not _NODE_ID.fullmatch(nid):
+        raise TopologyError(f"{where}node id '{nid}' must use only [A-Za-z0-9_]")
+
+
 def parse_topology(text: str, name: str = "topology") -> Topology:
     """Parse the line-oriented topology format.
 
@@ -173,10 +181,8 @@ def parse_topology(text: str, name: str = "topology") -> Topology:
         node <id> <generator|router|sink>
         edge <id> <id>
 
-    Node ids are ASCII letters, digits and underscores, so they are safe as
-    directory names and never clash with the edge, scenario or CSV syntax.
-    Raises TopologyError with the offending line number on syntax errors and
-    with the violated invariant on validation failures.
+    Raises TopologyError with the offending line number on syntax errors,
+    and with the violated invariant on validation failures.
     """
     nodes: list[tuple[str, NodeRole]] = []
     edges: list[tuple[str, str]] = []
@@ -192,10 +198,7 @@ def parse_topology(text: str, name: str = "topology") -> Topology:
             if len(parts) != 3:
                 raise TopologyError(f"line {lineno}: expected 'node <id> <role>'")
             nid, role_name = parts[1], parts[2]
-            if not _NODE_ID.fullmatch(nid):
-                raise TopologyError(
-                    f"line {lineno}: node id '{nid}' must use only [A-Za-z0-9_]"
-                )
+            _check_node_id(nid, f"line {lineno}: ")
             role = _ROLES_BY_NAME.get(role_name)
             if role is None:
                 raise TopologyError(f"line {lineno}: unknown role '{role_name}'")
@@ -230,7 +233,7 @@ def serialize_topology(t: Topology) -> str:
 
 def load_topology(path: str | Path) -> Topology:
     p = Path(path)
-    return parse_topology(p.read_text(encoding="utf-8"), name=p.stem)
+    return parse_topology(p.read_text(encoding="utf-8-sig"), name=p.stem)
 
 
 BUILTIN_CASE_IDS = (1, 2, 3)

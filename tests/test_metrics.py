@@ -147,26 +147,23 @@ class TestSharedPass:
 
 class TestEigenvector:
     def test_cycle4_uniform_half(self):
-        a = np.zeros((4, 4))
+        b = np.eye(4)  # _power_iteration takes A + I
         for i in range(4):
-            a[i, (i + 1) % 4] = a[(i + 1) % 4, i] = 1.0
-        x = _power_iteration(a, tol=1e-9, max_iter=1000)
+            b[i, (i + 1) % 4] = b[(i + 1) % 4, i] = 1.0
+        x = _power_iteration(b, tol=1e-9, max_iter=1000)
         assert np.allclose(x, 0.5, atol=1e-9)
 
     def test_argument_left_unchanged(self):
-        # The A + I shift is made in place; it must be undone exactly on
-        # return and on raise, even for a diagonal entry such as 1e-20 that
-        # ``+= 1.0`` followed by ``-= 1.0`` would turn into 0.0.
-        a = np.zeros((5, 5))
-        for i in range(4):  # a path, so one iteration does not converge
-            a[i, i + 1] = a[i + 1, i] = 1.0
-        a[2, 2] = 1e-20
-        before = a.copy()
-        _power_iteration(a, tol=1e-9, max_iter=1000)
-        assert a.tobytes() == before.tobytes()
+        # _power_iteration only reads its matrix, on return and on raise.
+        b = np.eye(5)
+        for i in range(4):  # A + I of a path, so one iteration does not converge
+            b[i, i + 1] = b[i + 1, i] = 1.0
+        before = b.copy()
+        _power_iteration(b, tol=1e-9, max_iter=1000)
+        assert b.tobytes() == before.tobytes()
         with pytest.raises(PowerIterationError):
-            _power_iteration(a, tol=1e-9, max_iter=1)
-        assert a.tobytes() == before.tobytes()
+            _power_iteration(b, tol=1e-9, max_iter=1)
+        assert b.tobytes() == before.tobytes()
 
     def test_star_center_to_leaf_ratio_sqrt3(self):
         t = star4()
@@ -277,7 +274,7 @@ class TestExactOrder:
         assert peak <= 1_000_000
 
     def test_eigenvector_memory_budget(self):
-        # One n x n matrix: the diagonal shift is made in place, not in a copy.
+        # One n x n matrix: A + I is built in place, not as A and a shifted copy.
         t = parse_topology(chorded_ring_text(250), name="ring250")
         n = len(t.nodes)
         tracemalloc.start()
@@ -359,6 +356,25 @@ class TestRankWithTies:
     def test_non_finite_epsilon_rejected(self, eps):
         with pytest.raises(ValueError, match="tie_epsilon must be finite"):
             rank_with_ties({"a": 1.0}, tie_epsilon=eps)
+
+    @given(
+        st.dictionaries(st.text(min_size=1, max_size=3),
+                        st.sampled_from([0.0, -0.0, 1e-10, -1e-10, 0.5]) | st.floats(-1, 1),
+                        min_size=1),
+        st.sampled_from(list(Direction)),
+        st.sampled_from([0.0, 1e-9, 0.5]),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=200)
+    def test_insertion_order_does_not_matter(self, values, direction, eps, rnd):
+        # Ties include 0.0 and -0.0, which compare equal but print apart, so
+        # the representative's sign must not depend on insertion order either.
+        items = list(values.items())
+        rnd.shuffle(items)
+        expected = rank_with_ties(values, direction, eps)
+        got = rank_with_ties(dict(items), direction, eps)
+        assert got == expected
+        assert repr(got) == repr(expected)
 
     @given(
         st.dictionaries(st.text(min_size=1, max_size=3), st.floats(-100, 100), min_size=1),

@@ -1,7 +1,11 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 
 from conftest import topologies
+from netcrit.cli import RunManifest
+from netcrit.simulator import Scenario, SimConfig, run
 from netcrit.topology import (
     NodeRole,
     Topology,
@@ -9,12 +13,14 @@ from netcrit.topology import (
     build_routing_table,
     builtin_case,
     edge_key,
+    load_topology,
     parse_topology,
     serialize_topology,
     validate_topology,
 )
 
 MINIMAL = "node S sink\nnode R1 router\nnode G1 generator\nedge S R1\nedge R1 G1"
+BAD_IDS = ["../x", "a;b", "a-b", "a:b", "a,b"]
 
 
 class TestParse:
@@ -77,11 +83,39 @@ class TestParse:
         with pytest.raises(TopologyError):
             parse_topology(MINIMAL + "\nedge G1 S")
 
-    @pytest.mark.parametrize("bad", ["../x", "a;b", "a-b", "a:b", "a,b"])
+    @pytest.mark.parametrize("bad", BAD_IDS)
     def test_node_id_charset_enforced_with_line(self, bad):
         text = f"node S sink\nnode {bad} router\nnode G generator\nedge S {bad}\n"
         with pytest.raises(TopologyError, match=r"line 2: node id .* \[A-Za-z0-9_\]"):
             parse_topology(text)
+
+    @pytest.mark.parametrize("bad", BAD_IDS)
+    def test_node_id_charset_enforced_before_any_run(self, bad, tmp_path):
+        # A hand-built topology never meets parse_topology; its ids would
+        # otherwise reach CSV rows and run directory names.
+        t = Topology("bad", nodes=(("S", NodeRole.SINK), (bad, NodeRole.ROUTER),
+                                   ("G", NodeRole.GENERATOR)),
+                     edges=(("S", bad), (bad, "G")))
+        match = rf"node id '{re.escape(bad)}' must use only \[A-Za-z0-9_\]"
+        with pytest.raises(TopologyError, match=match):
+            validate_topology(t)
+        with pytest.raises(TopologyError, match=match):
+            run(t, SimConfig(duration=10.0, seed=1), Scenario.dos(bad))
+        with pytest.raises(TopologyError, match=match):
+            RunManifest(topology=t, scenarios=(Scenario.dos(bad),), seeds=(1,),
+                        duration=10.0, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out" / "runs").exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_load_skips_utf8_byte_order_mark(self, tmp_path):
+        text = serialize_topology(builtin_case(3))
+        (tmp_path / "plain").mkdir()
+        (tmp_path / "bom").mkdir()
+        (tmp_path / "plain" / "case3.topo").write_text(text, encoding="utf-8")
+        (tmp_path / "bom" / "case3.topo").write_text(text, encoding="utf-8-sig")
+        assert (tmp_path / "bom" / "case3.topo").read_bytes().startswith(b"\xef\xbb\xbf")
+        assert (load_topology(tmp_path / "bom" / "case3.topo")
+                == load_topology(tmp_path / "plain" / "case3.topo"))
 
     def test_missing_roles_rejected(self):
         with pytest.raises(TopologyError, match="no sink"):

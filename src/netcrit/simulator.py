@@ -39,15 +39,21 @@ from heapq import heappop, heappush
 from typing import Callable
 
 from .rng import stream
-from .topology import Topology, build_routing_table, natural_key, validate_topology
+from .topology import ForwardingTable, Topology, build_routing_table, natural_key
 
 
 class SimulationLimitError(RuntimeError):
-    """The event budget was exhausted before the configured duration elapsed."""
+    """The event or in-flight packet budget was exhausted before the
+    configured duration elapsed."""
 
 
 # Most events one run may process before it raises SimulationLimitError.
 EVENT_CAP = 100_000_000
+
+# Most packets one run may hold in flight (queued or in service) before it
+# raises SimulationLimitError: about 140 bytes each, so about 400 MB. An
+# overloaded router's queue grows without bound, so only this bounds it.
+MAX_IN_FLIGHT = 3_000_000
 
 # Most monitor samples one run may hold: 8 bytes of delay each, so about
 # 400 MB. Checked before a run starts, never by allocating.
@@ -188,30 +194,34 @@ def check_monitor_samples(routers: int, config: SimConfig) -> None:
             "shorten the duration or lengthen the monitor interval")
 
 
-def check_run_inputs(topology: Topology, config: SimConfig, scenario: Scenario) -> None:
-    """Raise TopologyError unless ``topology`` passes ``validate_topology``,
-    ValueError unless every target of ``scenario`` is a router of it and the
-    run passes ``check_monitor_samples``, and SimulationLimitError if the
-    generators' traffic alone would exceed ``EVENT_CAP``. ``run`` calls it first, and ``RunManifest`` for each
-    scenario before the first run.
+def check_run_inputs(topology: Topology, config: SimConfig, scenario: Scenario) -> ForwardingTable:
+    """Return the topology's ``build_routing_table``, which validates it.
+
+    Raise TopologyError if that does, ValueError unless every target of
+    ``scenario`` is a router of it and the run passes
+    ``check_monitor_samples``, and SimulationLimitError if the generators'
+    traffic alone would exceed ``EVENT_CAP``. ``run`` calls it first and runs
+    on the table it returns; ``RunManifest`` calls it for each scenario
+    before the first run.
 
     Each packet costs at least two events, its generation and its first
     arrival, so a run expects at least 2 x generators x duration /
     mean_interarrival of them.
     """
-    validate_topology(topology)
-    routers = topology.router_ids
+    table = build_routing_table(topology)
+    routers = table.routers
     unknown = [t for t in scenario.targets if t not in routers]
     if unknown:
         raise ValueError(f"scenario targets unknown routers: {', '.join(unknown)}")
     check_monitor_samples(len(routers), config)
-    generators = len(topology.generator_ids)
+    generators = len(table.generators)
     events = 2 * generators * (config.duration / config.mean_interarrival)  # inf on overflow
     if events > EVENT_CAP:
         raise SimulationLimitError(
             f"run would generate {events:.3g} events (2 x {generators} generators x "
             f"duration / mean_interarrival), over the event cap of {EVENT_CAP:,}; "
             "shorten the duration or lengthen the mean inter-arrival")
+    return table
 
 
 @dataclass(frozen=True)
@@ -270,6 +280,15 @@ def _over_cap(cap: int, now: float) -> SimulationLimitError:
     return SimulationLimitError(f"event cap {cap} exceeded at t={now:.3f}s")
 
 
+def _overloaded(cap: int, now: float, routers, queues) -> SimulationLimitError:
+    longest = max(range(len(queues)), key=lambda r: len(queues[r]))
+    return SimulationLimitError(
+        f"{cap + 1:,} packets in flight at t={now:.3f}s, over the cap of {cap:,}: "
+        f"the routers are overloaded and their queues grow without bound (router "
+        f"'{routers[longest]}' holds {len(queues[longest]):,}); shorten the duration, "
+        "lengthen the mean inter-arrival or raise the service rate")
+
+
 def run(
     topology: Topology,
     config: SimConfig,
@@ -282,18 +301,14 @@ def run(
     with kind in {"arrive", "forward", "drop_attack", "drop_ttl"}; it exists
     for tracing and tests and does not affect the run.
     """
-    check_run_inputs(topology, config, scenario)
-    table = build_routing_table(topology)
-    routers, sink, hops = table.routers, table.sink, table.hops
-    index = {r: i for i, r in enumerate(routers)}
+    table = check_run_inputs(topology, config, scenario)
+    routers, sink, hops, inject = table.routers, table.sink, table.hops, table.inject
     # Admit probability of each attacked router; None where not attacked.
     admit = [None] * len(routers)
     for target in scenario.targets:
-        admit[index[target]] = scenario.attack_forwarding_probability
+        admit[routers.index(target)] = scenario.attack_forwarding_probability
 
-    generators = topology.generator_ids
-    gen_targets = [tuple(index[r] for r in topology.adjacency[g]) for g in generators]
-    gen_random = [stream(config.seed, "generator", g) for g in generators]
+    gen_random = [stream(config.seed, "generator", g) for g in table.generators]
     router_random = [stream(config.seed, "router", r) for r in routers]
 
     # Per-router state. A queue holds one (packet id, arrival link, hops,
@@ -323,7 +338,7 @@ def run(
     heappush(heap, (config.monitor_interval, next(seq), _MONITOR, None))
 
     events = 0
-    event_cap = EVENT_CAP
+    event_cap, max_in_flight = EVENT_CAP, MAX_IN_FLIGHT
     while heap and heap[0][0] <= duration:
         now, _, kind, node = heappop(heap)
         events += 1
@@ -367,13 +382,15 @@ def run(
             while size <= 0.0:  # sizes must be strictly positive
                 size = sample_exponential(draw, MEAN_PACKET_SIZE)
             size_total += size
-            targets = gen_targets[node]
+            targets = inject[node]
             if len(targets) == 1:
                 router = targets[0]
             else:
                 router = targets[int(draw() * len(targets))]
             pid, came_from, hop_count = generated, -1, 0
             generated += 1
+            if generated - delivered - dropped_attack - dropped_ttl > max_in_flight:
+                raise _overloaded(max_in_flight, now, routers, queues)
             dt = sample_exponential(draw, config.mean_interarrival)
             inter_total += dt
             heappush(heap, (now + dt, next(seq), _GEN, node))
@@ -411,15 +428,14 @@ def run(
     # identity is a real check, not a tautology.
     in_flight = sum(len(q) for q in queues)
 
-    sink_adjacent = topology.sink_adjacent_routers()
     return SimResult(
         topology_name=topology.name,
         tick_times=tick_times,
         tick_delays=dict(zip(routers, delays)),
         routers={r: RouterSummary(final_delay=s / f if f else 0.0, forwarded=f,
                                   dropped_attack=d, attacked=p is not None,
-                                  sink_adjacent=r in sink_adjacent)
-                 for r, s, f, d, p in zip(routers, sojourn, forwarded, dropped, admit)},
+                                  sink_adjacent=sink in row[-1])
+                 for r, s, f, d, p, row in zip(routers, sojourn, forwarded, dropped, admit, hops)},
         generated=generated,
         delivered_to_sink=delivered,
         dropped_by_attack=dropped_attack,
@@ -429,5 +445,5 @@ def run(
         generated_size_total=size_total,
         interarrival_total=inter_total,
         # One draw per generator at start, then one per generated packet.
-        interarrival_draws=len(generators) + generated,
+        interarrival_draws=len(gen_random) + generated,
     )

@@ -258,7 +258,8 @@ def builtin_case(case_id: int) -> Topology:
 
 @dataclass(frozen=True)
 class ForwardingTable:
-    """The no-backtrack random walk over a topology, compiled to integers.
+    """A validated topology compiled to integers: the no-backtrack random
+    walk and the generators that feed it.
 
     Routers are numbered 0..n-1 in declaration order (``routers`` holds their
     ids) and the sink is ``sink`` = n. ``hops[r][a]`` lists, in adjacency
@@ -266,21 +267,29 @@ class ForwardingTable:
     node a, where a = -1 marks a packet injected by a generator. Candidates
     are every adjacent router plus the sink, except a; when that leaves
     nothing (a leaf router) the packet goes back to a. Generators are never
-    candidates. ``build_routing_table`` caches the last one it built, so
+    candidates, so router r is sink-adjacent exactly when
+    ``sink in hops[r][-1]``. ``generators`` holds the generator ids in
+    declaration order, and ``inject[g]`` the routers generator g feeds, in
+    adjacency order. ``build_routing_table`` caches the last one it built, so
     every run on the same topology shares it; do not mutate.
     """
 
     routers: tuple[str, ...]
     sink: int
     hops: tuple[dict[int, tuple[int, ...]], ...]
+    generators: tuple[str, ...]
+    inject: tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=1)
 def build_routing_table(t: Topology) -> ForwardingTable:
-    """Compile the topology's forwarding choices into a ForwardingTable.
+    """Validate the topology and compile it into a ForwardingTable.
 
-    Memoized on the frozen topology: repeated calls return the same table.
+    Raises TopologyError if ``validate_topology`` does, or if a router has no
+    adjacent router or sink to forward to. Memoized on the frozen topology:
+    repeated calls validate once and return the same table.
     """
+    validate_topology(t)
     routers = t.router_ids
     index = {r: i for i, r in enumerate(routers)}
     index[t.sink_id] = len(routers)
@@ -294,4 +303,5 @@ def build_routing_table(t: Topology) -> ForwardingTable:
             )
         hops.append({a: tuple(n for n in eligible if n != a) or (a,)
                      for a in (-1, *eligible)})
-    return ForwardingTable(routers=routers, sink=len(routers), hops=tuple(hops))
+    inject = tuple(tuple(index[r] for r in t.adjacency[g]) for g in t.generator_ids)
+    return ForwardingTable(routers, len(routers), tuple(hops), t.generator_ids, inject)

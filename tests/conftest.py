@@ -1,10 +1,22 @@
 import random
+import warnings
 
 import pytest
 from hypothesis import strategies as st
 
 from netcrit.simulator import Scenario
 from netcrit.topology import NodeRole, Topology, parse_topology, validate_topology
+
+# When a Hypothesis test fails, its report imports hypothesis.extra._patching,
+# which imports the installed mypy_extensions, which warns DeprecationWarning.
+# Under -W error that warning becomes a pytest INTERNALERROR that hides the
+# falsifying example, so import the module once here with the warning ignored.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # absent from some Hypothesis releases or installs
+        pass
 
 MM1_TEXT = "node S sink\nnode R router\nnode G generator\nedge S R\nedge R G\n"
 

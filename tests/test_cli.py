@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import scenarios, topologies
 import netcrit
-from netcrit import cli, reports
+from netcrit import cli, reports, simulator
 from netcrit.analysis import mean_final_delays, outage_impacts, rank_by_delay
 from netcrit.cli import MAX_SEEDS, RunManifest, main
 from netcrit.metrics import PowerIterationError
@@ -224,6 +224,13 @@ class TestSimulateCommand:
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {field} must be finite")
         assert not (tmp_path / "runs").exists()
+
+    def test_in_flight_cap_is_an_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(simulator, "MAX_IN_FLIGHT", 100)
+        rc = run_cli("simulate", "--case", "3", "--seeds", "1", "--duration", "2000",
+                     "--out", str(tmp_path))
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: 101 packets in flight at t=")
 
     def test_timeseries_round_trips(self, tmp_path):
         assert run_cli("simulate", "--case", "3", "--scenario", "stable",

@@ -225,6 +225,15 @@ class TestConfig:
             SimConfig(**{"duration": 10.0, field: value})
 
 
+def half_attack(t: Topology, kind: str) -> Scenario:
+    """Stable traffic, or a dos or ddos scenario admitting half the packets."""
+    if kind == "stable":
+        return Scenario.stable()
+    if kind == "dos":
+        return Scenario.dos(t.router_ids[-1], attack_forwarding_probability=0.5)
+    return Scenario.ddos(t.router_ids[:2], attack_forwarding_probability=0.5)
+
+
 class TestRun:
     def test_determinism_same_seed(self):
         t = builtin_case(3)
@@ -262,14 +271,8 @@ class TestRun:
            st.sampled_from(["stable", "dos", "ddos"]))
     @settings(max_examples=15, deadline=None)
     def test_forward_is_followed_by_that_packets_arrival(self, t, seed, kind):
-        if kind == "stable":
-            scenario = Scenario.stable()
-        elif kind == "dos":
-            scenario = Scenario.dos(t.router_ids[-1], attack_forwarding_probability=0.5)
-        else:
-            scenario = Scenario.ddos(t.router_ids[:2], attack_forwarding_probability=0.5)
         trace = []
-        run(t, SimConfig(duration=30.0, seed=seed), scenario,
+        run(t, SimConfig(duration=30.0, seed=seed), half_attack(t, kind),
             on_event=lambda *event: trace.append(event))
         last_seen = {pid: i for i, (_, _, _, pid) in enumerate(trace)}
         for i, (event, now, router, pid) in enumerate(trace):
@@ -279,6 +282,15 @@ class TestRun:
             assert next_pid == pid and next_now == now
             assert next_event in ("arrive", "drop_attack")
             assert next_router in t.adjacency[router]
+
+    @given(topologies(), st.integers(0, 2**32), st.sampled_from(["stable", "dos", "ddos"]))
+    @settings(max_examples=15, deadline=None)
+    def test_tick_delays_are_never_negative_zero(self, t, seed, kind):
+        # A sojourn sum starts at +0.0 and adds only now - arrived_at >= +0.0,
+        # so timeseries.csv never holds "-0.0".
+        res = run(t, SimConfig(duration=30.0, seed=seed), half_attack(t, kind))
+        assert all(math.copysign(1.0, d) == 1.0
+                   for column in res.tick_delays.values() for d in column)
 
     def test_fifo_completion_order_matches_arrival_order(self):
         trace = defaultdict(lambda: {"arrive": [], "done": []})
@@ -355,6 +367,18 @@ class TestRun:
         monkeypatch.setattr(simulator, "EVENT_CAP", 50)
         with pytest.raises(SimulationLimitError):
             run(builtin_case(2), SimConfig(duration=100.0, seed=1), Scenario.stable())
+
+    def test_in_flight_cap_raises_on_overload(self, monkeypatch):
+        # Case 3's default load exceeds its routers' service rate, so its
+        # queues grow about 5 packets/s.
+        monkeypatch.setattr(simulator, "MAX_IN_FLIGHT", 100)
+        with pytest.raises(SimulationLimitError,
+                           match=r"^101 packets in flight at t=\d+\.\d{3}s, over the cap of 100: "
+                                 r"the routers are overloaded"):
+            run(builtin_case(3), SimConfig(duration=2000.0, seed=1), Scenario.stable())
+        fast = run(builtin_case(3), SimConfig(duration=2000.0, seed=1, router_service_rate=50.0),
+                   Scenario.stable())
+        assert conserved(fast)
 
     @pytest.mark.parametrize("scenario", [Scenario.stable(), Scenario.dos("3")],
                              ids=["stable", "dos"])

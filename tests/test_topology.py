@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import topologies
-from netcrit.cli import RunManifest
+from netcrit import topology
+from netcrit.cli import RunManifest, execute_manifest
 from netcrit.simulator import Scenario, SimConfig, run
 from netcrit.topology import (
     NodeRole,
@@ -238,6 +239,33 @@ class TestRoutingTable:
             table = build_routing_table(t)
             assert table.routers == t.router_ids
             assert table == build_routing_table.__wrapped__(t)
+
+    @given(topologies(multihome_prob=0.5))
+    def test_table_carries_generator_injection(self, t):
+        table = build_routing_table(t)
+        assert table.generators == t.generator_ids
+        assert len(table.inject) == len(table.generators)
+        for gid, targets in zip(table.generators, table.inject):
+            assert names(t, table, targets) == t.adjacency[gid]
+
+    def test_validates_before_compiling(self):
+        t = Topology(name="dup", nodes=(("S", NodeRole.SINK), ("R", NodeRole.ROUTER),
+                                        ("G", NodeRole.GENERATOR)),
+                     edges=(("S", "R"), ("R", "G"), ("G", "R")))
+        with pytest.raises(TopologyError, match="duplicate edge G-R"):
+            build_routing_table(t)
+
+    def test_campaign_validates_its_topology_once(self, tmp_path, monkeypatch):
+        t = builtin_case(2)
+        build_routing_table.cache_clear()
+        checked = []
+        validate = topology.validate_topology
+        monkeypatch.setattr(topology, "validate_topology",
+                            lambda topo: checked.append(topo) or validate(topo))
+        scenarios = (Scenario.stable(), *(Scenario.dos(r) for r in t.router_ids))
+        execute_manifest(RunManifest(topology=t, scenarios=scenarios, seeds=(1, 2, 3),
+                                     duration=5.0, out_dir=tmp_path))
+        assert checked == [t]
 
     @given(topologies())
     def test_generators_never_forwarding_targets(self, t):

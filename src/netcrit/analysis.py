@@ -108,6 +108,19 @@ class OutageImpact:
     survivor_delay_shift_s: float
 
 
+def stable_delivered(baseline: Sequence[RunRecord]) -> float:
+    """Mean delivery count of the stable runs ``baseline``, which a DoS
+    sweep's delivery loss is relative to.
+
+    Raises ValueError if it is 0, where that loss is undefined; ``cmd_sweep``
+    checks it before any DoS run.
+    """
+    if delivered := _mean([r.delivered_to_sink for r in baseline]):
+        return delivered
+    raise ValueError("stable baseline delivered no packets, so delivery loss is "
+                     "undefined; run longer (--duration)")
+
+
 def outage_impacts(
     results: Mapping[str, Sequence[RunRecord]], t: Topology
 ) -> tuple[float, list[OutageImpact]]:
@@ -116,14 +129,12 @@ def outage_impacts(
     ``results`` maps "stable" and "dos:<router>" for every router to its
     runs, as run records (``execute_manifest``'s result) or full
     ``SimResult``s; only delivery counts and final delays are read. Returns
-    the stable mean delivery count and the impacts; ties keep router
-    declaration order.
+    the stable mean delivery count (``stable_delivered``, which raises
+    ValueError if it is 0) and the impacts; ties keep router declaration
+    order.
     """
     baseline = results["stable"]
-    base_delivered = _mean([r.delivered_to_sink for r in baseline])
-    if base_delivered == 0:
-        raise ValueError("stable baseline delivered no packets, so delivery loss is "
-                         "undefined; run longer (--duration)")
+    base_delivered = stable_delivered(baseline)
     base_delay = mean_final_delays(baseline, t.router_ids)
     impacts = []
     for router in t.router_ids:

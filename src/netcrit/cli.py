@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import reports
@@ -26,6 +26,7 @@ from .analysis import (
     outage_impacts,
     rank_by_delay,
     ranked_universe,
+    stable_delivered,
 )
 from .metrics import (
     TIE_EPSILON,
@@ -435,7 +436,11 @@ def cmd_sweep(args) -> int:
     scenarios = (Scenario.stable(),) + tuple(Scenario.dos(r) for r in t.router_ids)
     manifest = RunManifest(topology=t, scenarios=scenarios, seeds=parse_seeds(args.seeds),
                            duration=args.duration, out_dir=Path(args.out))
-    results = execute_manifest(manifest, echo=_echo_stderr)
+    # Run the stable scenario first: a baseline that delivers nothing fails
+    # the sweep before any DoS run writes a file.
+    results = execute_manifest(replace(manifest, scenarios=scenarios[:1]), _echo_stderr)
+    stable_delivered(results["stable"])
+    results |= execute_manifest(replace(manifest, scenarios=scenarios[1:]), _echo_stderr)
     base_delivered, impacts = outage_impacts(results, t)
 
     title = (f"{t.name}: DoS sweep over {len(t.router_ids)} routers, "

@@ -18,10 +18,12 @@ measured delay toward zero while traffic starves or piles up elsewhere.
 Per-router delay is the running mean of sojourn (enter-to-leave) times over
 forwarded packets, sampled every ``monitor_interval`` seconds.
 
-The event calendar is a priority queue keyed by (timestamp, insertion
-sequence); ties break by insertion order, so a run is fully deterministic
-given its seed. It carries only generator, service-completion and monitor
-events. A packet's arrival at its next router is handled in the same step
+The event calendar is a priority queue of (timestamp, source) entries, one
+pending entry per event source: each router's next service completion, each
+generator's next packet and the next monitor tick. Ties on the timestamp
+break by source, the monitor tick first, then routers in declaration order,
+then generators in declaration order, so a run is fully deterministic given
+its seed. A packet's arrival at its next router is handled in the same step
 that injects or forwards it, at the same timestamp. That gives the same
 bytes as queueing the arrival on the calendar: every router draws from its
 own random stream, so handling it early can only reorder it against an
@@ -30,7 +32,6 @@ event at exactly the same float time.
 
 from __future__ import annotations
 
-import itertools
 import math
 from array import array
 from collections import deque
@@ -271,11 +272,6 @@ class SimResult(RunRecord):
         return RunRecord(**{f.name: getattr(self, f.name) for f in fields(RunRecord)})
 
 
-# Calendar event kinds, in no particular priority: ties on the calendar break
-# by insertion sequence alone. Arrivals are not calendar events.
-_GEN, _COMPLETE, _MONITOR = 0, 1, 2
-
-
 def _over_cap(cap: int, now: float) -> SimulationLimitError:
     return SimulationLimitError(f"event cap {cap} exceeded at t={now:.3f}s")
 
@@ -323,9 +319,13 @@ def run(
     tick_times = array("d")
     delays = [array("d") for _ in routers]
 
-    heap: list[tuple] = []
-    seq = itertools.count()
-    generated = delivered = dropped_attack = dropped_ttl = 0
+    # Calendar entries are (time, source): source r < sink is router r's
+    # next service completion, sink + g generator g's next packet (the sink's
+    # index is the router count), -1 the next monitor tick. A source has at
+    # most one entry pending, so an exact-time tie breaks by source: the
+    # tick, then routers, then generators.
+    heap: list[tuple[float, int]] = [(config.monitor_interval, -1)]
+    generated = delivered = dropped_attack = dropped_ttl = events = 0
     size_total = inter_total = 0.0
     mean_service = 1.0 / config.router_service_rate
     duration, ttl = config.duration, config.ttl
@@ -334,20 +334,28 @@ def run(
     for g, draw in enumerate(gen_random):
         dt = sample_exponential(draw, config.mean_interarrival)
         inter_total += dt
-        heappush(heap, (dt, next(seq), _GEN, g))
-    heappush(heap, (config.monitor_interval, next(seq), _MONITOR, None))
+        heappush(heap, (dt, sink + g))
 
-    events = 0
     event_cap, max_in_flight = EVENT_CAP, MAX_IN_FLIGHT
-    while heap and heap[0][0] <= duration:
-        now, _, kind, node = heappop(heap)
+    while True:
+        # The tick re-arms itself, so the calendar is never empty.
+        now, node = heappop(heap)
+        if now > duration:
+            break
         events += 1
         if events > event_cap:
             raise _over_cap(event_cap, now)
 
-        # The _COMPLETE and _GEN branches end with packet `pid` bound for
+        if node < 0:  # the monitor tick samples every router
+            tick_times.append(now)
+            for column, s, f in zip(delays, sojourn, forwarded):
+                column.append(s / f if f else 0.0)
+            heappush(heap, (now + config.monitor_interval, -1))
+            continue
+
+        # A completion or a generator ends with packet `pid` bound for
         # router `node`; its arrival is handled below the branches.
-        if kind == _COMPLETE:
+        if node < sink:  # router node completes the service at its queue's head
             queue = queues[node]
             pid, came_from, hop_count, arrived_at = queue.popleft()
             if ttl and hop_count >= ttl:
@@ -370,19 +378,20 @@ def run(
             if queue:
                 # Inlined service draw: now - m * log1p(-u) is bit-equal to
                 # now + sample_exponential(draw, m), since -m * x == -(m * x).
-                done = now - mean_service * log1p(-router_random[node]())
-                heappush(heap, (done, next(seq), _COMPLETE, node))
+                heappush(heap, (now - mean_service * log1p(-router_random[node]()), node))
             if dest == sink:
                 continue
             came_from, node, hop_count = node, dest, hop_count + 1
 
-        elif kind == _GEN:
-            draw = gen_random[node]
+        else:  # generator node - sink emits a packet and draws its next gap
+            # Inlined size and gap draws, each bit-equal to
+            # sample_exponential(draw, m) = -m * log1p(-draw()).
+            draw = gen_random[node - sink]
             size = 0.0
             while size <= 0.0:  # sizes must be strictly positive
-                size = sample_exponential(draw, MEAN_PACKET_SIZE)
+                size = -MEAN_PACKET_SIZE * log1p(-draw())
             size_total += size
-            targets = inject[node]
+            targets = inject[node - sink]
             if len(targets) == 1:
                 router = targets[0]
             else:
@@ -391,17 +400,10 @@ def run(
             generated += 1
             if generated - delivered - dropped_attack - dropped_ttl > max_in_flight:
                 raise _overloaded(max_in_flight, now, routers, queues)
-            dt = sample_exponential(draw, config.mean_interarrival)
+            dt = -config.mean_interarrival * log1p(-draw())
             inter_total += dt
-            heappush(heap, (now + dt, next(seq), _GEN, node))
+            heappush(heap, (now + dt, node))
             node = router
-
-        else:  # _MONITOR: one tick samples every router
-            tick_times.append(now)
-            for column, s, f in zip(delays, sojourn, forwarded):
-                column.append(s / f if f else 0.0)
-            heappush(heap, (now + config.monitor_interval, next(seq), _MONITOR, None))
-            continue
 
         # Arrival of packet pid at router node, now. It counts as an event,
         # and its draws come from that router's own stream.
@@ -420,8 +422,7 @@ def run(
         queue = queues[node]
         queue.append((pid, came_from, hop_count, now))
         if len(queue) == 1:
-            done = now - mean_service * log1p(-router_random[node]())
-            heappush(heap, (done, next(seq), _COMPLETE, node))
+            heappush(heap, (now - mean_service * log1p(-router_random[node]()), node))
 
     # Packets still queued, including any in service; no arrival is ever left
     # pending. Counted from the queues, not the counters, so the conservation

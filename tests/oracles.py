@@ -2,8 +2,10 @@
 
 Betweenness is recomputed by explicitly enumerating every shortest path
 (BFS layering plus backtracking) and counting memberships; eccentricity by
-Floyd-Warshall; the eigenvector by a dense symmetric eigendecomposition.
-These stay deliberately naive and separate from the package code paths.
+Floyd-Warshall; the eigenvector by a dense symmetric eigendecomposition;
+each router's packet arrival rate by a dense linear solve of the open
+queueing network the simulator's random walk forms. These stay deliberately
+naive and separate from the package code paths.
 
 ``reference_shortest_paths`` is the one exception: the plain queue-based
 Brandes pass, one source at a time, that fixes the order of every float
@@ -18,7 +20,7 @@ from collections import deque
 
 import numpy as np
 
-from netcrit.topology import Topology, edge_key
+from netcrit.topology import NodeRole, Topology, edge_key
 
 
 def all_shortest_paths(adj, s, t):
@@ -174,3 +176,42 @@ def reference_shortest_paths(t: Topology):
                 node_acc[w] += delta[w]
 
     return tuple(nodes), tuple(node_acc), tuple(slot), tuple(edge_acc), tuple(ecc)
+
+
+def jackson_arrival_rates(t: Topology, mean_interarrival: float) -> dict[str, float]:
+    """Total packet arrival rate of every router, from the traffic equations
+    of the open queueing network that the no-backtrack walk forms.
+
+    A state is (router, arrival link), the link None for a packet its
+    generator injected; they come from ``t.adjacency`` and the node roles
+    alone. From state (r, a) a packet moves, with equal probability, to
+    each router or sink adjacent to r other than a, or back to a when that
+    leaves nothing; the sink absorbs it. Each generator emits 1 /
+    ``mean_interarrival`` packets per second, split evenly over its
+    routers. Solves (I - P^T) x = lambda0 and sums x over each router's
+    states. With exponential service at rate mu and no router saturated,
+    the network has product form, so router i's mean sojourn is
+    1 / (mu - rate_i).
+    """
+    roles, adj = t.roles, t.adjacency
+    forwards = {v: [w for w in adj[v] if roles[w] is not NodeRole.GENERATOR]
+                for v in adj if roles[v] is NodeRole.ROUTER}
+    states = [(r, a) for r, ws in forwards.items()
+              for a in (None, *(w for w in ws if w in forwards))]
+    index = {state: i for i, state in enumerate(states)}
+    p = np.zeros((len(states), len(states)))
+    for (r, a), i in index.items():
+        nxt = [w for w in forwards[r] if w != a] or [a]
+        for w in nxt:
+            if w in forwards:
+                p[i, index[(w, r)]] += 1.0 / len(nxt)
+    lambda0 = np.zeros(len(states))
+    for g in adj:
+        if roles[g] is NodeRole.GENERATOR:
+            for r in adj[g]:
+                lambda0[index[(r, None)]] += 1.0 / mean_interarrival / len(adj[g])
+    x = np.linalg.solve(np.eye(len(states)) - p.T, lambda0)
+    rates = dict.fromkeys(forwards, 0.0)
+    for (r, _), rate in zip(states, x):
+        rates[r] += float(rate)
+    return rates

@@ -591,6 +591,8 @@ class TestSweepCommand:
                        "--out", str(tmp_path)) == 1
         assert "error: stable baseline delivered no packets" in capsys.readouterr().err
         assert not (tmp_path / "attack_sweep.csv").exists()
+        # The baseline is checked before any DoS run writes a file.
+        assert [p.name for p in (tmp_path / "runs").iterdir()] == ["stable"]
 
 
 class TestArgumentErrors:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import scenarios, topologies
 from netcrit import simulator
 from netcrit.rng import _CHUNK, stream, substream_seed
@@ -435,3 +436,66 @@ class TestRun:
         drop_fraction = summary.dropped_attack / (summary.dropped_attack + summary.forwarded)
         assert drop_fraction >= 0.9
         assert summary.final_delay < stable.routers["3"].final_delay
+
+
+class TestTieRule:
+    """Exact-time ties on the calendar break by source: the monitor tick,
+    then routers, then generators. With every uniform draw 0.5, the
+    generator's gap and the router's service time are both ln 2 / 2 on the
+    S-R-G topology, so packet k's completion ties with packet k+1's
+    generation at every multiple of ln 2 / 2 from ln 2 on."""
+
+    LN2 = 0.6931471805599453
+
+    def _run(self, monkeypatch, mm1_topology, **config):
+        monkeypatch.setattr(simulator, "stream", lambda *_: lambda: 0.5)
+        trace = []
+        result = run(mm1_topology, SimConfig(duration=5.0, mean_interarrival=0.5,
+                                             router_service_rate=2.0, **config),
+                     Scenario.stable(), on_event=lambda *event: trace.append(event))
+        return result, trace
+
+    def test_completion_precedes_generation_at_the_same_time(self, monkeypatch, mm1_topology):
+        _, trace = self._run(monkeypatch, mm1_topology)
+        assert ("forward", self.LN2, "R", 0) in trace
+        forwards = {pid: i for i, (kind, _, _, pid) in enumerate(trace) if kind == "forward"}
+        arrivals = {pid: i for i, (kind, _, _, pid) in enumerate(trace) if kind == "arrive"}
+        assert len(forwards) >= 10
+        for pid, i in forwards.items():
+            if pid + 1 in arrivals:
+                assert trace[i][1] == trace[arrivals[pid + 1]][1]  # an exact tie
+                assert i < arrivals[pid + 1]
+
+    def test_monitor_tick_goes_first(self, monkeypatch, mm1_topology):
+        result, trace = self._run(monkeypatch, mm1_topology, monitor_interval=self.LN2)
+        assert ("forward", self.LN2, "R", 0) in trace
+        assert result.tick_times[0] == self.LN2
+        assert result.tick_delays["R"][0] == 0.0
+
+
+class TestNetworkOracle:
+    """Seed-mean per-router throughput and sojourn against the open
+    queueing network's traffic equations (``oracles.jackson_arrival_rates``)
+    at a service rate where no router saturates (max utilisation 0.24).
+
+    Tolerances come from the spread over six disjoint five-seed sets
+    (1..5 up to 26..30) at this duration: the worst sojourn error was 2.5 %
+    and the worst throughput error 4.1 %, both on case 2.
+    """
+
+    MU, DURATION, SEEDS = 50.0, 1000.0, range(1, 6)
+
+    @pytest.mark.parametrize("case", [1, 2, 3])
+    def test_sojourn_and_throughput_match_jackson(self, case):
+        t = builtin_case(case)
+        rates = oracles.jackson_arrival_rates(t, SimConfig.mean_interarrival)
+        results = [run(t, SimConfig(duration=self.DURATION, seed=seed,
+                                    router_service_rate=self.MU), Scenario.stable())
+                   for seed in self.SEEDS]
+        assert set(rates) == set(t.router_ids)
+        for router, rate in rates.items():
+            assert rate < 0.25 * self.MU
+            delay = fmean(r.routers[router].final_delay for r in results)
+            assert delay == pytest.approx(1.0 / (self.MU - rate), rel=0.035), router
+            throughput = fmean(r.routers[router].forwarded for r in results) / self.DURATION
+            assert throughput == pytest.approx(rate, rel=0.055), router

@@ -14,16 +14,18 @@ Conventions, fixed for the whole package:
 * Eigenvector: dominant eigenvector of the adjacency matrix, unit Euclidean
   norm, all entries nonnegative.
 
-Every metric numbers a topology's nodes once, in ``_graph``. Node betweenness,
-edge betweenness and eccentricity come from one shared shortest-path pass per
-topology (one BFS per source), cached for the last topology seen. The pass
-runs in numpy over blocks of ``SOURCE_BLOCK`` sources, one BFS level at a
-time, and keeps each level as a one-byte source row and an int32 CSR slot per
-shortest-path pair, so its working set grows with the block times the edge
-count rather than with n^2. It still adds every sum's terms in the order of a
-queue-based BFS over one source at a time, so each float is bit-identical to
-that plain pass, which the tests keep as the reference. The eigenvector
-iterates on A + I, in the one dense n x n matrix it builds and owns.
+Every metric numbers a topology's nodes in ``_graph``, which builds the
+numbering and its CSR arrays once per topology, cached for the last topology
+seen. Node betweenness, edge betweenness and eccentricity come from one
+shared shortest-path pass per topology (one BFS per source), cached the same
+way. The pass runs in numpy over blocks of ``SOURCE_BLOCK`` sources, one BFS
+level at a time, and keeps each level as a one-byte source row and an int32
+CSR slot per shortest-path pair, so its working set grows with the block
+times the edge count rather than with n^2. It still adds every sum's terms in
+the order of a queue-based BFS over one source at a time, so each float is
+bit-identical to that plain pass, which the tests keep as the reference. The
+eigenvector iterates on A + I, in the one dense n x n matrix it builds and
+owns.
 
 A ranking is a plain tuple of ``RankCluster``s, most critical first.
 ``rank_with_ties`` sorts each cluster's members once, in natural order, and
@@ -65,16 +67,19 @@ EIGENVECTOR_TOL = 1e-9
 EIGENVECTOR_MAX_ITER = 10_000
 
 
+@lru_cache(maxsize=1)
 def _graph(t: Topology):
     """Node ids in adjacency order and the graph's CSR arrays over them: node
     v has ``deg[v]`` slots, in adjacency order, and slot k is the entry of
-    node ``owner[k]`` for neighbour ``nbr[k]``."""
+    node ``owner[k]`` for neighbour ``nbr[k]``. The shortest-path pass and
+    the eigenvector share the cached result: tuples and read-only arrays."""
     adj = t.adjacency
-    nodes = list(adj)
+    nodes = tuple(adj)
     index = {v: i for i, v in enumerate(nodes)}
-    deg = [len(adj[v]) for v in nodes]
+    deg = tuple(len(adj[v]) for v in nodes)
     owner = np.repeat(np.arange(len(nodes)), deg)
     nbr = np.array([index[w] for v in nodes for w in adj[v]], dtype=np.intp)
+    owner.flags.writeable = nbr.flags.writeable = False
     return nodes, deg, owner, nbr
 
 
@@ -112,7 +117,7 @@ def _shortest_paths(t: Topology):
         sources = np.arange(first, min(first + SOURCE_BLOCK, n))
         ecc += _accumulate(sources, start, owner, nbr, eid, node_acc, edge_acc)
     edges = tuple(edge_key(nodes[v], nodes[w]) for v, w in slot)
-    return tuple(nodes), tuple(node_acc.tolist()), edges, tuple(edge_acc.tolist()), tuple(ecc)
+    return nodes, tuple(node_acc.tolist()), edges, tuple(edge_acc.tolist()), tuple(ecc)
 
 
 def _accumulate(sources: np.ndarray, start: np.ndarray, owner: np.ndarray, nbr: np.ndarray,

@@ -253,7 +253,7 @@ class RunRecord:
 @dataclass(frozen=True)
 class SimResult(RunRecord):
     """Outcome of one run: its ``RunRecord`` plus the delay time series and
-    the calibration totals.
+    the sum of the generated packets' sizes.
 
     ``tick_times`` holds the monitor's tick times, and ``tick_delays`` maps
     each router, in declaration order, to its running mean sojourn at each
@@ -263,8 +263,6 @@ class SimResult(RunRecord):
     tick_times: array
     tick_delays: dict[str, array]
     generated_size_total: float
-    interarrival_total: float
-    interarrival_draws: int
 
     def record(self) -> RunRecord:
         """The run's record alone, sharing its ``routers`` dict; the tick
@@ -326,15 +324,13 @@ def run(
     # tick, then routers, then generators.
     heap: list[tuple[float, int]] = [(config.monitor_interval, -1)]
     generated = delivered = dropped_attack = dropped_ttl = events = 0
-    size_total = inter_total = 0.0
+    size_total = 0.0
     mean_service = 1.0 / config.router_service_rate
     duration, ttl = config.duration, config.ttl
     log1p = math.log1p
 
     for g, draw in enumerate(gen_random):
-        dt = sample_exponential(draw, config.mean_interarrival)
-        inter_total += dt
-        heappush(heap, (dt, sink + g))
+        heappush(heap, (sample_exponential(draw, config.mean_interarrival), sink + g))
 
     event_cap, max_in_flight = EVENT_CAP, MAX_IN_FLIGHT
     while True:
@@ -385,7 +381,8 @@ def run(
 
         else:  # generator node - sink emits a packet and draws its next gap
             # Inlined size and gap draws, each bit-equal to
-            # sample_exponential(draw, m) = -m * log1p(-draw()).
+            # sample_exponential(draw, m) = -m * log1p(-draw()); the next
+            # packet is due at now - m * log1p(-u), as for service above.
             draw = gen_random[node - sink]
             size = 0.0
             while size <= 0.0:  # sizes must be strictly positive
@@ -400,9 +397,7 @@ def run(
             generated += 1
             if generated - delivered - dropped_attack - dropped_ttl > max_in_flight:
                 raise _overloaded(max_in_flight, now, routers, queues)
-            dt = -config.mean_interarrival * log1p(-draw())
-            inter_total += dt
-            heappush(heap, (now + dt, node))
+            heappush(heap, (now - config.mean_interarrival * log1p(-draw()), node))
             node = router
 
         # Arrival of packet pid at router node, now. It counts as an event,
@@ -444,7 +439,4 @@ def run(
         in_flight_at_end=in_flight,
         event_count=events,
         generated_size_total=size_total,
-        interarrival_total=inter_total,
-        # One draw per generator at start, then one per generated packet.
-        interarrival_draws=len(gen_random) + generated,
     )

@@ -4,8 +4,9 @@ Betweenness is recomputed by explicitly enumerating every shortest path
 (BFS layering plus backtracking) and counting memberships; eccentricity by
 Floyd-Warshall; the eigenvector by a dense symmetric eigendecomposition;
 each router's packet arrival rate by a dense linear solve of the open
-queueing network the simulator's random walk forms. These stay deliberately
-naive and separate from the package code paths.
+queueing network the simulator's random walk forms; each generator's packet
+count and sizes by replaying its random stream alone. These stay
+deliberately naive and separate from the package code paths.
 
 ``reference_shortest_paths`` is the one exception: the plain queue-based
 Brandes pass, one source at a time, that fixes the order of every float
@@ -16,10 +17,14 @@ tuples.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
+from typing import NamedTuple
 
 import numpy as np
 
+from netcrit.rng import stream
+from netcrit.simulator import MEAN_PACKET_SIZE, SimConfig
 from netcrit.topology import NodeRole, Topology, edge_key
 
 
@@ -215,3 +220,43 @@ def jackson_arrival_rates(t: Topology, mean_interarrival: float) -> dict[str, fl
     for (r, _), rate in zip(states, x):
         rates[r] += float(rate)
     return rates
+
+
+class GeneratorReplay(NamedTuple):
+    """One generator's packets up to the run's duration, from its stream alone."""
+
+    generated: int
+    size_total: float
+    gaps: list[float]  # every inter-arrival gap drawn, the last one past the end
+
+
+def replay_generators(t: Topology, config: SimConfig) -> dict[str, GeneratorReplay]:
+    """Redraw every generator's stream as the traffic model specifies.
+
+    A generator's stream is ``stream(config.seed, "generator", g)``. It
+    first draws a gap; then, for each packet due at or before
+    ``config.duration``, a size, redrawn until it is positive, a uniform
+    that picks the router when the generator has two or more links (read
+    from ``t.adjacency``), and the next gap. Each draw is the inverse CDF
+    -mean * log1p(-u) of one uniform u. Nothing here runs the simulator,
+    so its packet count and size sum check the run's.
+    """
+    replays = {}
+    for g, role in t.nodes:
+        if role is not NodeRole.GENERATOR:
+            continue
+        draw = stream(config.seed, "generator", g)
+        gaps = [-config.mean_interarrival * math.log1p(-draw())]
+        due, generated, size_total = gaps[0], 0, 0.0
+        while due <= config.duration:
+            size = 0.0
+            while size <= 0.0:
+                size = -MEAN_PACKET_SIZE * math.log1p(-draw())
+            size_total += size
+            if len(t.adjacency[g]) >= 2:
+                draw()
+            generated += 1
+            gaps.append(-config.mean_interarrival * math.log1p(-draw()))
+            due += gaps[-1]
+        replays[g] = GeneratorReplay(generated, size_total, gaps)
+    return replays

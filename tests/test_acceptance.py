@@ -5,6 +5,7 @@ Simulation-heavy criteria share one pool of runs (3 cases x {stable, dos} x
 10 seeds) built once per session.
 """
 
+import math
 import random
 import time
 from statistics import fmean
@@ -232,16 +233,25 @@ def test_criterion_08_mm1_oracle(mm1_pack):
 
 
 def test_criterion_09_sampling_calibration(attack_pool):
-    stable = attack_pool[2]["stable"]
+    # The gaps are observable only by replaying the generators' streams; the
+    # replay must also give each run's packet count and size sum.
+    t, stable = attack_pool[2]["topology"], attack_pool[2]["stable"]
+    replays = [oracles.replay_generators(t, SimConfig(duration=POOL_DURATION, seed=s)).values()
+               for s in POOL_SEEDS]
+    replayed = sum(r.generated == sum(g.generated for g in replay)
+                   and math.isclose(r.generated_size_total,
+                                    sum(g.size_total for g in replay), rel_tol=1e-12)
+                   for r, replay in zip(stable, replays))
     generated = sum(r.generated for r in stable)
     size_mean = sum(r.generated_size_total for r in stable) / generated
-    inter_mean = (sum(r.interarrival_total for r in stable)
-                  / sum(r.interarrival_draws for r in stable))
-    ok = (generated >= 10_000
+    inter_mean = fmean(gap for replay in replays for g in replay for gap in g.gaps)
+    ok = (replayed == len(stable)
+          and generated >= 10_000
           and abs(size_mean - 100.0) / 100.0 <= 0.05
           and abs(inter_mean - 2.0) / 2.0 <= 0.05)
     report(9, "packet size and inter-arrival calibration", ok,
-           f"{generated} packets, size {size_mean:.2f}B, inter-arrival {inter_mean:.4f}s")
+           f"{replayed}/{len(stable)} runs match the replay, {generated} packets, "
+           f"size {size_mean:.2f}B, inter-arrival {inter_mean:.4f}s")
 
 
 def test_criterion_10_dos_collapse(attack_pool):

@@ -45,7 +45,6 @@ def fake_result(t, delays):
         routers=routers,
         generated=0, delivered_to_sink=0, dropped_by_attack=0, dropped_by_ttl=0,
         in_flight_at_end=0, event_count=0, generated_size_total=0.0,
-        interarrival_total=0.0, interarrival_draws=0,
     )
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import scenarios, topologies
+from conftest import chorded_ring_text, scenarios, topologies
 import netcrit
 from netcrit import cli, reports, simulator
 from netcrit.analysis import mean_final_delays, outage_impacts, rank_by_delay
@@ -24,6 +24,24 @@ from netcrit.topology import builtin_case, serialize_topology
 
 def run_cli(*argv) -> int:
     return main(list(argv))
+
+
+def run_cli_process(*argv, **env) -> None:
+    """Run the CLI in a fresh interpreter with ``env`` added to the environment."""
+    src = Path(netcrit.__file__).resolve().parents[1]
+    subprocess.run([sys.executable, "-m", "netcrit.cli", *argv],
+                   env={**os.environ, **env, "PYTHONPATH": str(src)},
+                   check=True, capture_output=True)
+
+
+def assert_same_tree(left: Path, right: Path) -> list[Path]:
+    """Assert both trees hold the same files with the same bytes; return
+    their relative paths."""
+    files = sorted(p.relative_to(left) for p in left.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(right) for p in right.rglob("*") if p.is_file())
+    for name in files:
+        assert (left / name).read_bytes() == (right / name).read_bytes(), name
+    return files
 
 
 class TestCases:
@@ -87,6 +105,17 @@ class TestMetricsCommand:
         done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                               capture_output=True, text=True)
         assert done.stdout.splitlines()[-1] == "added:"
+
+    def test_metric_files_do_not_depend_on_blas_threads(self, tmp_path):
+        # At 1,201 nodes OpenBLAS splits the eigenvector's matrix-vector
+        # product over its threads, as it does not at a few hundred.
+        topo = tmp_path / "ring1000.topo"
+        topo.write_text(chorded_ring_text(1000), encoding="utf-8")
+        for threads in ("1", "2"):
+            run_cli_process("metrics", "--topology", str(topo), "--out", str(tmp_path / threads),
+                            OPENBLAS_NUM_THREADS=threads)
+        files = assert_same_tree(tmp_path / "1" / "metrics", tmp_path / "2" / "metrics")
+        assert Path("node_metrics.csv") in files
 
     def test_non_finite_tie_epsilon_is_an_error(self, tmp_path, capsys):
         rc = run_cli("metrics", "--case", "3", "--tie-epsilon", "nan", "--out", str(tmp_path))
@@ -270,19 +299,12 @@ class TestCompareCommand:
     def test_outputs_identical_across_hash_seeds(self, tmp_path):
         # Tie clusters straddle k here, so the order overlap@k adds its terms
         # in shows in the last bits; that order must not follow the string hash.
-        src = Path(netcrit.__file__).resolve().parents[1]
         for hash_seed in ("0", "4"):
-            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src)}
-            subprocess.run([sys.executable, "-m", "netcrit.cli", "compare", "--case", "3",
-                            "--seeds", "1..2", "--duration", "20", "--k", "2",
-                            "--tie-epsilon", "0.5", "--out", str(tmp_path / hash_seed)],
-                           env=env, check=True, capture_output=True)
-        left, right = tmp_path / "0", tmp_path / "4"
-        files = sorted(p.relative_to(left) for p in left.rglob("*") if p.is_file())
-        assert files == sorted(p.relative_to(right) for p in right.rglob("*") if p.is_file())
+            run_cli_process("compare", "--case", "3", "--seeds", "1..2", "--duration", "20",
+                            "--k", "2", "--tie-epsilon", "0.5",
+                            "--out", str(tmp_path / hash_seed), PYTHONHASHSEED=hash_seed)
+        files = assert_same_tree(tmp_path / "0", tmp_path / "4")
         assert Path("compare", "comparison.csv") in files
-        for name in files:
-            assert (left / name).read_bytes() == (right / name).read_bytes(), name
 
     def test_case2_excluded_list(self, tmp_path):
         assert run_cli("compare", "--case", "2", "--scenario", "stable",

@@ -13,6 +13,7 @@ from netcrit.metrics import (
     SOURCE_BLOCK,
     Direction,
     PowerIterationError,
+    _graph,
     _power_iteration,
     _shortest_paths,
     betweenness_centrality,
@@ -143,6 +144,17 @@ class TestSharedPass:
                     for key in got:
                         got[key] = -1
                     got["stale"] = -1
+
+    def test_four_metrics_number_a_topology_once(self):
+        t = parse_topology(chorded_ring_text(12), name="ring12")
+        _graph.cache_clear()
+        _shortest_paths.cache_clear()
+        for f in (eigenvector_centrality, betweenness_centrality, edge_betweenness,
+                  eccentricity_centrality):
+            f(t)
+        assert _graph.cache_info().misses == 1
+        _, _, owner, nbr = _graph(t)
+        assert not owner.flags.writeable and not nbr.flags.writeable
 
 
 class TestEigenvector:

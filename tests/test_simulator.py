@@ -1,5 +1,6 @@
 import gc
 import math
+import random
 import string
 import tracemalloc
 from collections import defaultdict
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import scenarios, topologies
+from conftest import make_random_topology, scenarios, topologies
 from netcrit import simulator
 from netcrit.rng import _CHUNK, stream, substream_seed
 from netcrit.simulator import (
@@ -345,10 +346,13 @@ class TestRun:
             check_monitor_samples(1, huge)
 
     def test_size_and_interarrival_calibration(self):
-        res = run(builtin_case(2), SimConfig(duration=1500.0, seed=17), Scenario.stable())
+        t, config = builtin_case(2), SimConfig(duration=1500.0, seed=17)
+        res = run(t, config, Scenario.stable())
+        replays = oracles.replay_generators(t, config).values()
+        assert res.generated == sum(g.generated for g in replays)
         assert res.generated > 2000
         size_mean = res.generated_size_total / res.generated
-        inter_mean = res.interarrival_total / res.interarrival_draws
+        inter_mean = fmean(gap for g in replays for gap in g.gaps)
         assert size_mean == pytest.approx(100.0, rel=0.05)
         assert inter_mean == pytest.approx(2.0, rel=0.05)
 
@@ -499,3 +503,35 @@ class TestNetworkOracle:
             assert delay == pytest.approx(1.0 / (self.MU - rate), rel=0.035), router
             throughput = fmean(r.routers[router].forwarded for r in results) / self.DURATION
             assert throughput == pytest.approx(rate, rel=0.055), router
+
+
+class TestGeneratorReplay:
+    """Every run's packet count and size sum against
+    ``oracles.replay_generators``, which redraws each generator's stream
+    without the simulator: the count must match exactly, the size sum to
+    1e-12 relative, since the run adds the generators' sizes in event order."""
+
+    @staticmethod
+    def assert_replayed(t: Topology, config: SimConfig, scenario: Scenario):
+        result = run(t, config, scenario)
+        replays = oracles.replay_generators(t, config).values()
+        assert result.generated == sum(g.generated for g in replays)
+        assert result.generated_size_total == pytest.approx(
+            sum(g.size_total for g in replays), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("case, target", [(1, "5"), (2, "3"), (3, "6")])
+    def test_builtin_cases(self, case, target):
+        t = builtin_case(case)
+        for seed in range(1, 6):
+            for scenario in (Scenario.stable(), Scenario.dos(target)):
+                self.assert_replayed(t, SimConfig(duration=300.0, seed=seed), scenario)
+
+    def test_random_topologies_with_multihomed_generators(self):
+        rng = random.Random(22)
+        multihomed = 0
+        for seed in range(60):
+            t = make_random_topology(rng, multihome_prob=0.5)
+            multihomed += any(len(t.adjacency[g]) >= 2 for g in t.generator_ids)
+            scenario = Scenario.dos(rng.choice(t.router_ids)) if seed % 2 else Scenario.stable()
+            self.assert_replayed(t, SimConfig(duration=200.0, seed=seed), scenario)
+        assert multihomed >= 20  # so the replay's router draw is exercised

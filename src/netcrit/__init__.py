@@ -27,7 +27,6 @@ from .simulator import (
     SimResult,
     SimulationLimitError,
     run,
-    sample_exponential,
 )
 from .topology import (
     BUILTIN_CASE_IDS,

@@ -50,8 +50,8 @@ from .topology import (
     BUILTIN_CASE_IDS,
     NodeRole,
     Topology,
-    TopologyError,
     builtin_case,
+    clip,
     load_topology,
     natural_key,
 )
@@ -66,9 +66,6 @@ _SEED = re.compile(r"-?[0-9]+")
 # Most digits of a seed: 2**64 has 20, so a longer item is out of range, and
 # it is rejected before int() has to parse it.
 MAX_SEED_DIGITS = 20
-
-# Most characters of the "--seeds" text an error message quotes.
-_QUOTE_CHARS = 24
 
 # Disturbance sets studied per case: DoS on the simulation-critical routers,
 # plus the DDoS pairs/triples tied to the top-ranked edges.
@@ -158,13 +155,6 @@ def _load(args) -> Topology:
     return builtin_case(args.case)
 
 
-def _quote(text: str) -> str:
-    """``text`` in quotes, cut to ``_QUOTE_CHARS`` characters plus '...'."""
-    if len(text) > _QUOTE_CHARS:
-        text = text[:_QUOTE_CHARS] + "..."
-    return f"'{text}'"
-
-
 def _check_digits(items: list[str]) -> None:
     """Reject an item of more than ``MAX_SEED_DIGITS`` digits before int()
     parses it: such a seed is out of range, and a long one would otherwise
@@ -172,7 +162,7 @@ def _check_digits(items: list[str]) -> None:
     for item in items:
         digits = len(item.lstrip("-"))
         if digits > MAX_SEED_DIGITS:
-            raise ValueError(f"bad seed {_quote(item)} has {digits} digits "
+            raise ValueError(f"bad seed '{clip(item)}' has {digits} digits "
                              f"(at most {MAX_SEED_DIGITS})")
 
 
@@ -186,18 +176,18 @@ def parse_seeds(text: str) -> tuple[int, ...]:
     if ".." in text:
         lo, _, hi = (part.strip() for part in text.partition(".."))
         if not (_SEED.fullmatch(lo) and _SEED.fullmatch(hi)):
-            raise ValueError(f"bad seed range {_quote(text)} (expected a..b)")
+            raise ValueError(f"bad seed range '{clip(text)}' (expected a..b)")
         _check_digits([lo, hi])
         a, b = int(lo), int(hi)
         if b < a:
-            raise ValueError(f"seed range {_quote(text)} ends before it starts")
+            raise ValueError(f"seed range '{clip(text)}' ends before it starts")
         if b - a >= MAX_SEEDS:
-            raise ValueError(f"seed range {_quote(text)} holds {b - a + 1} seeds "
+            raise ValueError(f"seed range '{clip(text)}' holds {b - a + 1} seeds "
                              f"(at most {MAX_SEEDS})")
         return tuple(range(a, b + 1))
     items = [p.strip() for p in text.split(",")]
     if not all(_SEED.fullmatch(p) for p in items):
-        raise ValueError(f"bad seeds {_quote(text)} (expected a comma-separated list)")
+        raise ValueError(f"bad seeds '{clip(text)}' (expected a comma-separated list)")
     if len(items) > MAX_SEEDS:
         raise ValueError(f"{len(items)} seeds given (at most {MAX_SEEDS})")
     _check_digits(items)
@@ -220,23 +210,18 @@ def _node_metrics(t: Topology) -> dict[str, dict[str, float]]:
     }
 
 
-def _rank_nodes(node_metrics, tie_epsilon: float, subset) -> dict:
-    """Rank ``subset`` by each node metric; a low eccentricity marks a critical node."""
-    return {
+def _rankings(node_metrics, routers, edge_values, edge_keys, tie_epsilon: float) -> dict:
+    """Rank ``routers`` by each node metric (a low eccentricity marks a
+    critical node) and ``edge_keys`` by ``edge_values`` as "edge_betweenness"."""
+    rankings = {
         metric: rank_with_ties(values,
                                Direction.LOWER_IS_CRITICAL if metric == "eccentricity"
                                else Direction.HIGHER_IS_CRITICAL,
-                               tie_epsilon, subset)
+                               tie_epsilon, routers)
         for metric, values in node_metrics.items()
     }
-
-
-def _centrality_rankings(t: Topology, node_metrics, edges, tie_epsilon: float) -> dict:
-    """Router rankings by each node metric, plus the core-edge betweenness ranking."""
-    rankings = _rank_nodes(node_metrics, tie_epsilon, t.router_ids)
     rankings["edge_betweenness"] = rank_with_ties(
-        edges, Direction.HIGHER_IS_CRITICAL, tie_epsilon, _core_edge_keys(t)
-    )
+        edge_values, Direction.HIGHER_IS_CRITICAL, tie_epsilon, edge_keys)
     return rankings
 
 
@@ -244,7 +229,7 @@ def cmd_metrics(args) -> int:
     t = _load(args)
     nodes = _node_metrics(t)
     edges = edge_betweenness(t)
-    rankings = _centrality_rankings(t, nodes, edges, args.tie_epsilon)
+    rankings = _rankings(nodes, t.router_ids, edges, _core_edge_keys(t), args.tie_epsilon)
 
     out = Path(args.out) / "metrics"
     out.mkdir(parents=True, exist_ok=True)
@@ -285,7 +270,7 @@ class RunManifest:
         labels = [scenario.label for scenario in self.scenarios]
         repeated = sorted({label for label in labels if labels.count(label) > 1})
         if repeated:
-            raise ValueError(f"scenarios must be distinct, got {', '.join(repeated)} "
+            raise ValueError(f"scenarios must be distinct, got {clip(', '.join(repeated))} "
                              "more than once")
         if not self.seeds:
             raise ValueError("manifest needs at least one seed")
@@ -376,8 +361,7 @@ def cmd_compare(args) -> int:
     # Rank before the runs: a bad --k or --tie-epsilon, or a failing metric,
     # then stops the command before it writes anything.
     universe = ranked_universe(t, args.k)
-    metric_ranks = _rank_nodes(_node_metrics(t), args.tie_epsilon, universe)
-
+    nodes = _node_metrics(t)
     # Edge betweenness is projected onto routers as the heaviest
     # infrastructure link each router terminates, so it can be ranked
     # against per-router delays.
@@ -387,8 +371,7 @@ def cmd_compare(args) -> int:
         router: max((edges[e] for e in core if router in e), default=0.0)
         for router in universe
     }
-    metric_ranks["edge_betweenness"] = rank_with_ties(
-        router_share, Direction.HIGHER_IS_CRITICAL, args.tie_epsilon, universe)
+    metric_ranks = _rankings(nodes, universe, router_share, universe, args.tie_epsilon)
 
     results = execute_manifest(manifest, echo=_echo_stderr)[scenario.label]
     delay = rank_by_delay(results, t, tie_epsilon=args.tie_epsilon)
@@ -414,7 +397,8 @@ def cmd_case_study(args) -> int:
     )
     manifest = RunManifest(topology=t, scenarios=scenarios, seeds=parse_seeds(args.seeds),
                            duration=args.duration, out_dir=Path(args.out))
-    rankings = _centrality_rankings(t, _node_metrics(t), edge_betweenness(t), TIE_EPSILON)
+    rankings = _rankings(_node_metrics(t), t.router_ids, edge_betweenness(t),
+                         _core_edge_keys(t), TIE_EPSILON)
     print(reports.cluster_summary_text(f"{t.name}: centrality rankings", rankings))
 
     results = execute_manifest(manifest, echo=_echo_stderr)
@@ -474,8 +458,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (TopologyError, ValueError, OSError, SimulationLimitError,
-            PowerIterationError) as exc:
+    except (ValueError, OSError, SimulationLimitError, PowerIterationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,7 +7,8 @@ forwarded to a uniformly chosen eligible neighbor, never back on its arrival
 link unless that is the only option. The sink absorbs packets on arrival.
 Packet size is drawn with the fixed mean ``MEAN_PACKET_SIZE`` and summed into
 ``generated_size_total``; nothing else reads it, and service time, specified
-in packets per second, does not depend on it.
+in packets per second, does not depend on it. Every exponential draw is the
+inverse CDF -mean * log1p(-u) of one uniform u from the drawing node's stream.
 
 A DoS/DDoS disturbance collapses the forwarding probability of the targeted
 routers: an arriving packet is admitted with that probability and otherwise
@@ -40,7 +41,7 @@ from heapq import heappop, heappush
 from typing import Callable
 
 from .rng import stream
-from .topology import ForwardingTable, Topology, build_routing_table, natural_key
+from .topology import ForwardingTable, Topology, build_routing_table, clip, natural_key
 
 
 class SimulationLimitError(RuntimeError):
@@ -62,13 +63,6 @@ MAX_MONITOR_SAMPLES = 50_000_000
 
 # Mean of the exponential packet-size draw, in bytes.
 MEAN_PACKET_SIZE = 100.0
-
-
-def sample_exponential(draw: Callable[[], float], mean: float) -> float:
-    """Inverse-CDF exponential draw: -mean * ln(1 - u) for one uniform u = draw()."""
-    if mean <= 0:
-        raise ValueError("mean must be > 0")
-    return -mean * math.log1p(-draw())
 
 
 def _positive_finite(x: float) -> bool:
@@ -116,13 +110,14 @@ class Scenario:
 
     def __post_init__(self):
         if self.kind not in ("stable", "dos", "ddos"):
-            raise ValueError(f"unknown scenario kind '{self.kind}'")
+            raise ValueError(f"unknown scenario kind '{clip(self.kind)}' "
+                             "(expected stable | dos:<id> | ddos:<id>,...)")
         if self.kind == "ddos":  # one canonical target order, so one label per target set
             object.__setattr__(self, "targets", tuple(sorted(self.targets, key=natural_key)))
         if self.kind == "stable" and self.targets:
             raise ValueError("stable scenario takes no targets")
         if "" in self.targets:
-            raise ValueError(f"empty target in scenario '{self.label}' "
+            raise ValueError(f"empty target in scenario '{clip(self.label)}' "
                              "(expected dos:<id> | ddos:<id>,<id>[,...])")
         if self.kind == "dos" and len(self.targets) != 1:
             raise ValueError("dos scenario takes exactly one target")
@@ -153,16 +148,14 @@ class Scenario:
     def from_string(cls, text: str,
                     attack_forwarding_probability: float = attack_forwarding_probability,
                     ) -> "Scenario":
-        """Parse the scenario grammar: "stable" | "dos:<id>" | "ddos:<id>,<id>[,...]"."""
-        head, _, rest = text.strip().partition(":")
-        if head == "stable":
-            if rest:
-                raise ValueError("stable scenario takes no targets")
-            return cls.stable()
-        if head in ("dos", "ddos"):
-            return cls(kind=head, targets=tuple(rest.split(",")),
-                       attack_forwarding_probability=attack_forwarding_probability)
-        raise ValueError(f"unknown scenario '{text}' (expected stable | dos:<id> | ddos:<id>,...)")
+        """Parse the scenario grammar: "stable" | "dos:<id>" | "ddos:<id>,<id>[,...]".
+
+        Splits ``text`` into a kind and, after a ':', its comma-separated
+        targets; the constructor checks them.
+        """
+        kind, colon, rest = text.strip().partition(":")
+        return cls(kind=kind, targets=tuple(rest.split(",")) if colon else (),
+                   attack_forwarding_probability=attack_forwarding_probability)
 
     @property
     def label(self) -> str:
@@ -180,41 +173,34 @@ class RouterSummary:
     sink_adjacent: bool
 
 
-def check_monitor_samples(routers: int, config: SimConfig) -> None:
-    """Reject a run that would hold more than ``MAX_MONITOR_SAMPLES`` samples.
-
-    A run samples each router floor(duration / monitor_interval) times.
-    """
-    ticks = config.duration / config.monitor_interval  # inf only on overflow
-    count = routers * (math.floor(ticks) if math.isfinite(ticks) else ticks)
-    if count > MAX_MONITOR_SAMPLES:
-        shown = f"{count:,}" if count < 10**18 else f"{routers * ticks:.3g}"  # not 300 digits long
-        raise ValueError(
-            f"run would hold {shown} monitor samples ({routers} routers x "
-            f"duration / monitor_interval), over the cap of {MAX_MONITOR_SAMPLES:,}; "
-            "shorten the duration or lengthen the monitor interval")
-
-
 def check_run_inputs(topology: Topology, config: SimConfig, scenario: Scenario) -> ForwardingTable:
     """Return the topology's ``build_routing_table``, which validates it.
 
     Raise TopologyError if that does, ValueError unless every target of
-    ``scenario`` is a router of it and the run passes
-    ``check_monitor_samples``, and SimulationLimitError if the generators'
-    traffic alone would exceed ``EVENT_CAP``. ``run`` calls it first and runs
-    on the table it returns; ``RunManifest`` calls it for each scenario
-    before the first run.
+    ``scenario`` is a router of it and the run would hold at most
+    ``MAX_MONITOR_SAMPLES`` monitor samples, and SimulationLimitError if the
+    generators' traffic alone would exceed ``EVENT_CAP``. ``run`` calls it
+    first and runs on the table it returns; ``RunManifest`` calls it for
+    each scenario before the first run.
 
-    Each packet costs at least two events, its generation and its first
-    arrival, so a run expects at least 2 x generators x duration /
-    mean_interarrival of them.
+    A run samples each router floor(duration / monitor_interval) times. Each
+    packet costs at least two events, its generation and its first arrival,
+    so a run expects at least 2 x generators x duration / mean_interarrival
+    of them.
     """
     table = build_routing_table(topology)
     routers = table.routers
     unknown = [t for t in scenario.targets if t not in routers]
     if unknown:
-        raise ValueError(f"scenario targets unknown routers: {', '.join(unknown)}")
-    check_monitor_samples(len(routers), config)
+        raise ValueError(f"scenario targets unknown routers: {clip(', '.join(unknown))}")
+    ticks = config.duration / config.monitor_interval  # inf only on overflow
+    count = len(routers) * (math.floor(ticks) if math.isfinite(ticks) else ticks)
+    if count > MAX_MONITOR_SAMPLES:
+        shown = f"{count:,}" if count < 10**18 else f"{len(routers) * ticks:.3g}"  # not 300 digits
+        raise ValueError(
+            f"run would hold {shown} monitor samples ({len(routers)} routers x "
+            f"duration / monitor_interval), over the cap of {MAX_MONITOR_SAMPLES:,}; "
+            "shorten the duration or lengthen the monitor interval")
     generators = len(table.generators)
     events = 2 * generators * (config.duration / config.mean_interarrival)  # inf on overflow
     if events > EVENT_CAP:
@@ -330,7 +316,7 @@ def run(
     log1p = math.log1p
 
     for g, draw in enumerate(gen_random):
-        heappush(heap, (sample_exponential(draw, config.mean_interarrival), sink + g))
+        heappush(heap, (-config.mean_interarrival * log1p(-draw()), sink + g))
 
     event_cap, max_in_flight = EVENT_CAP, MAX_IN_FLIGHT
     while True:
@@ -372,17 +358,12 @@ def run(
                 if dest == sink:
                     delivered += 1
             if queue:
-                # Inlined service draw: now - m * log1p(-u) is bit-equal to
-                # now + sample_exponential(draw, m), since -m * x == -(m * x).
                 heappush(heap, (now - mean_service * log1p(-router_random[node]()), node))
             if dest == sink:
                 continue
             came_from, node, hop_count = node, dest, hop_count + 1
 
         else:  # generator node - sink emits a packet and draws its next gap
-            # Inlined size and gap draws, each bit-equal to
-            # sample_exponential(draw, m) = -m * log1p(-draw()); the next
-            # packet is due at now - m * log1p(-u), as for service above.
             draw = gen_random[node - sink]
             size = 0.0
             while size <= 0.0:  # sizes must be strictly positive

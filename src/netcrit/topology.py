@@ -28,6 +28,16 @@ class TopologyError(ValueError):
     """Malformed topology text or a violated structural invariant."""
 
 
+# Most characters of any one input an error message echoes.
+_ECHO_CHARS = 24
+
+
+def clip(text: str) -> str:
+    """``text`` cut to ``_ECHO_CHARS`` characters plus '...', for quoting
+    input in an error message."""
+    return text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "..."
+
+
 def natural_key(node_id: str):
     """Sort key that puts integer-like ids in numeric order ("2" before "10")."""
     if node_id.isdecimal():
@@ -104,7 +114,7 @@ def validate_topology(t: Topology) -> None:
     for nid, _ in t.nodes:
         _check_node_id(nid)
         if nid in seen:
-            raise TopologyError(f"duplicate node id '{nid}'")
+            raise TopologyError(f"duplicate node id '{clip(nid)}'")
         seen.add(nid)
 
     roles = t.roles
@@ -112,7 +122,7 @@ def validate_topology(t: Topology) -> None:
     if len(sinks) == 0:
         raise TopologyError("no sink declared (exactly one required)")
     if len(sinks) > 1:
-        raise TopologyError(f"multiple sinks declared: {', '.join(sinks)}")
+        raise TopologyError(f"multiple sinks declared: {clip(', '.join(sinks))}")
     if not t.ids_with_role(NodeRole.GENERATOR):
         raise TopologyError("no generator declared (at least one required)")
     if not t.router_ids:
@@ -121,29 +131,32 @@ def validate_topology(t: Topology) -> None:
     seen_edges: set[tuple[str, str]] = set()
     for u, v in t.edges:
         if u == v:
-            raise TopologyError(f"self-loop on node '{u}'")
+            raise TopologyError(f"self-loop on node '{clip(u)}'")
         for end in (u, v):
             if end not in roles:
-                raise TopologyError(f"edge {u}-{v} references undeclared node '{end}'")
+                raise TopologyError(f"edge {clip(u)}-{clip(v)} references undeclared "
+                                    f"node '{clip(end)}'")
         key = edge_key(u, v)
         if key in seen_edges:
-            raise TopologyError(f"duplicate edge {key[0]}-{key[1]}")
+            raise TopologyError(f"duplicate edge {clip(key[0])}-{clip(key[1])}")
         seen_edges.add(key)
 
     adjacency = t.adjacency
     for gid in t.generator_ids:
         nbrs = adjacency[gid]
         if not nbrs:
-            raise TopologyError(f"generator '{gid}' has no link (degree >= 1 required)")
+            raise TopologyError(f"generator '{clip(gid)}' has no link (degree >= 1 required)")
         for n in nbrs:
             if roles[n] is not NodeRole.ROUTER:
                 raise TopologyError(
-                    f"generator '{gid}' may connect only to routers (edge {gid}-{n})"
+                    f"generator '{clip(gid)}' may connect only to routers "
+                    f"(edge {clip(gid)}-{clip(n)})"
                 )
     for n in adjacency[t.sink_id]:
         if roles[n] is not NodeRole.ROUTER:
             raise TopologyError(
-                f"sink '{t.sink_id}' may connect only to routers (edge {t.sink_id}-{n})"
+                f"sink '{clip(t.sink_id)}' may connect only to routers "
+                f"(edge {clip(t.sink_id)}-{clip(n)})"
             )
 
     # Connectivity: every node must reach the sink.
@@ -159,7 +172,8 @@ def validate_topology(t: Topology) -> None:
         frontier = nxt
     if len(reached) != len(t.nodes):
         missing = sorted(set(roles) - reached, key=natural_key)
-        raise TopologyError(f"graph not connected; unreachable from sink: {', '.join(missing)}")
+        raise TopologyError(
+            f"graph not connected; unreachable from sink: {clip(', '.join(missing))}")
 
 
 _ROLES_BY_NAME = {r.value: r for r in NodeRole}
@@ -170,7 +184,7 @@ def _check_node_id(nid: str, where: str = "") -> None:
     """Node ids are ASCII letters, digits and underscores, so they are safe as
     directory names and never clash with the edge, scenario or CSV syntax."""
     if not _NODE_ID.fullmatch(nid):
-        raise TopologyError(f"{where}node id '{nid}' must use only [A-Za-z0-9_]")
+        raise TopologyError(f"{where}node id '{clip(nid)}' must use only [A-Za-z0-9_]")
 
 
 def parse_topology(text: str, name: str = "topology") -> Topology:
@@ -201,13 +215,13 @@ def parse_topology(text: str, name: str = "topology") -> Topology:
             _check_node_id(nid, f"line {lineno}: ")
             role = _ROLES_BY_NAME.get(role_name)
             if role is None:
-                raise TopologyError(f"line {lineno}: unknown role '{role_name}'")
+                raise TopologyError(f"line {lineno}: unknown role '{clip(role_name)}'")
             if nid in declared:
-                raise TopologyError(f"line {lineno}: duplicate node id '{nid}'")
+                raise TopologyError(f"line {lineno}: duplicate node id '{clip(nid)}'")
             if role is NodeRole.SINK:
                 if sink_seen is not None:
                     raise TopologyError(
-                        f"line {lineno}: multiple sinks ('{sink_seen}' already declared)"
+                        f"line {lineno}: multiple sinks ('{clip(sink_seen)}' already declared)"
                     )
                 sink_seen = nid
             declared.add(nid)
@@ -217,7 +231,7 @@ def parse_topology(text: str, name: str = "topology") -> Topology:
                 raise TopologyError(f"line {lineno}: expected 'edge <id> <id>'")
             edges.append((parts[1], parts[2]))
         else:
-            raise TopologyError(f"line {lineno}: unknown directive '{parts[0]}'")
+            raise TopologyError(f"line {lineno}: unknown directive '{clip(parts[0])}'")
 
     topo = Topology(name=name, nodes=tuple(nodes), edges=tuple(edges))
     validate_topology(topo)
@@ -298,7 +312,7 @@ def build_routing_table(t: Topology) -> ForwardingTable:
         eligible = [index[n] for n in t.adjacency[router] if n in index]
         if not eligible:
             raise TopologyError(
-                f"router '{router}' has no eligible forwarding neighbor "
+                f"router '{clip(router)}' has no eligible forwarding neighbor "
                 "(adjacent routers or sink required)"
             )
         hops.append({a: tuple(n for n in eligible if n != a) or (a,)

@@ -489,9 +489,18 @@ _RUN_RULES = [(("--scenario", "dos:99"), "scenario targets unknown routers: 99")
               (("--duration", "1e12"), "run would hold"),
               (("--monitor-interval", "1e-300"), "run would hold 5e+301 monitor samples ("),
               (("--mean-interarrival", "1e-9"), "run would generate"),
-              (("--service-rate", "nan"), "router_service_rate must be finite")]
+              (("--service-rate", "nan"), "router_service_rate must be finite"),
+              (("--attack-probability", "2"), "attack_forwarding_probability must be in")]
 _COMPARE_RULES = [(("--tie-epsilon", "nan"), "tie_epsilon must be finite"),
                   (("--k", "10"), "k=10 larger than ranked universe")]
+# Scenario strings an error message must not echo whole, with a name for the test id.
+_LONG_SCENARIOS = [
+    ("3000-char-dos-target", "dos:" + "7" * 3000,
+     "scenario targets unknown routers: " + "7" * 24 + "..."),
+    ("2000-ddos-targets", "ddos:" + ",".join(f"x{i}" for i in range(2000)),
+     "scenario targets unknown routers: x0, x1, x10, x100"),
+    ("3000-char-kind", "flood" * 600, "unknown scenario kind 'floodflood"),
+]
 _FAIL_EARLY = (
     [pytest.param(command, ("--seeds", seeds), message, id=f"{command}-seeds={seeds}")
      for command in ("simulate", "compare", "case-study", "sweep")
@@ -500,6 +509,8 @@ _FAIL_EARLY = (
        for command in ("simulate", "compare") for option, message in _RUN_RULES]
     + [pytest.param("compare", option, message, id=f"compare{'='.join(option)}")
        for option, message in _COMPARE_RULES]
+    + [pytest.param(command, ("--scenario", text), message, id=f"{command}-{name}")
+       for command in ("simulate", "compare") for name, text, message in _LONG_SCENARIOS]
 )
 
 

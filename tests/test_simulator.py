@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import re
 import string
 import tracemalloc
 from collections import defaultdict
@@ -20,9 +21,8 @@ from netcrit.simulator import (
     Scenario,
     SimConfig,
     SimulationLimitError,
-    check_monitor_samples,
+    check_run_inputs,
     run,
-    sample_exponential,
 )
 from netcrit.topology import Topology, builtin_case, build_routing_table, parse_topology
 
@@ -30,24 +30,6 @@ from netcrit.topology import Topology, builtin_case, build_routing_table, parse_
 def conserved(result) -> bool:
     return result.generated == (result.delivered_to_sink + result.dropped_by_attack
                                 + result.dropped_by_ttl + result.in_flight_at_end)
-
-
-class TestSampling:
-    def test_inverse_cdf_at_zero(self):
-        assert sample_exponential(iter([0.0]).__next__, 2.0) == 0.0
-
-    def test_inverse_cdf_at_half(self):
-        assert sample_exponential(iter([0.5]).__next__, 2.0) == pytest.approx(2 * math.log(2))
-
-    def test_nonpositive_mean_rejected(self):
-        with pytest.raises(ValueError):
-            sample_exponential(iter([0.5]).__next__, 0.0)
-
-    def test_empirical_mean(self):
-        s = stream(99, "exp-test")
-        mean = 0.4545
-        draws = [sample_exponential(s, mean) for _ in range(100_000)]
-        assert fmean(draws) == pytest.approx(mean, rel=0.02)
 
 
 class TestStreams:
@@ -166,10 +148,24 @@ class TestScenario:
         assert Scenario.from_string(scenario.label,
                                     scenario.attack_forwarding_probability) == scenario
 
-    @pytest.mark.parametrize("bad", ["dos:", "ddos:", "flood:3", "stable:1", "dos", "ddos:3,3",
-                                     "ddos:,3", "ddos:3,", "ddos:1,,2", "dos:3,4"])
+    # Each bad scenario string with the start of its message.
+    BAD_GRAMMAR = {
+        "dos:": "empty target in scenario 'dos:'",
+        "ddos:": "empty target in scenario 'ddos:'",
+        "flood:3": "unknown scenario kind 'flood'",
+        "stable:1": "stable scenario takes no targets",
+        "stable:": "stable scenario takes no targets",
+        "dos": "dos scenario takes exactly one target",
+        "ddos:3,3": "scenario targets must be distinct",
+        "ddos:,3": "empty target in scenario",
+        "ddos:3,": "empty target in scenario",
+        "ddos:1,,2": "empty target in scenario",
+        "dos:3,4": "dos scenario takes exactly one target",
+    }
+
+    @pytest.mark.parametrize("bad", BAD_GRAMMAR)
     def test_bad_grammar_rejected(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{re.escape(self.BAD_GRAMMAR[bad])}"):
             Scenario.from_string(bad)
 
     @pytest.mark.parametrize("build", [lambda: Scenario.dos(""),
@@ -335,15 +331,15 @@ class TestRun:
         t = builtin_case(3)  # 5 routers
         at_cap = MAX_MONITOR_SAMPLES // 5 * 0.5  # duration for exactly the cap at 0.5 s
         count = 5 * (MAX_MONITOR_SAMPLES // 5 + 1)  # one tick more
-        check_monitor_samples(5, SimConfig(duration=at_cap))
+        check_run_inputs(t, SimConfig(duration=at_cap), Scenario.stable())
         over = SimConfig(duration=at_cap + 0.5)
         with pytest.raises(ValueError, match=f"hold {count:,} monitor samples"):
-            check_monitor_samples(5, over)
+            check_run_inputs(t, over, Scenario.stable())
         with pytest.raises(ValueError, match="monitor samples"):
             run(t, over, Scenario.stable())
         huge = SimConfig(duration=1e300, monitor_interval=1e-300)  # ratio overflows
         with pytest.raises(ValueError, match="hold inf monitor samples"):
-            check_monitor_samples(1, huge)
+            check_run_inputs(t, huge, Scenario.stable())
 
     def test_size_and_interarrival_calibration(self):
         t, config = builtin_case(2), SimConfig(duration=1500.0, seed=17)

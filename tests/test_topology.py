@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from conftest import topologies
 from netcrit import topology
-from netcrit.cli import RunManifest, execute_manifest
+from netcrit.cli import RunManifest, execute_manifest, main
 from netcrit.simulator import Scenario, SimConfig, run
 from netcrit.topology import (
     NodeRole,
@@ -125,6 +125,33 @@ class TestParse:
             parse_topology("node S sink\nnode R1 router\nedge S R1")
         with pytest.raises(TopologyError, match="no router"):
             parse_topology("node S sink\nnode G1 generator\n")
+
+
+# Topology files whose text an error message must not echo whole: each with
+# the start of its message.
+_LONG_INPUTS = [
+    pytest.param("node S sink\nnode " + "a-" * 2500 + " router\n",
+                 "line 2: node id 'a-a-a-", id="5000-char-node-id"),
+    pytest.param(MINIMAL + "\n" + "x" * 5000 + " S R1\n",
+                 "line 6: unknown directive 'xxxx", id="5000-char-directive"),
+    pytest.param("node S sink\nnode R1 " + "r" * 5000 + "\n",
+                 "line 2: unknown role 'rrrr", id="5000-char-role"),
+    pytest.param(MINIMAL + "\nedge R1 " + "Q" * 5000 + "\n",
+                 "edge R1-QQQQ", id="5000-char-undeclared-edge-end"),
+    pytest.param(MINIMAL + "".join(f"\nnode R{i} router" for i in range(2, 3002)),
+                 "graph not connected; unreachable from sink: R10, R100, R1000",
+                 id="3000-unreachable-routers"),
+]
+
+
+@pytest.mark.parametrize("text, message", _LONG_INPUTS)
+def test_long_input_is_not_echoed_whole(tmp_path, capsys, text, message):
+    path = tmp_path / "long.topo"
+    path.write_text(text, encoding="utf-8")
+    assert main(["metrics", "--topology", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1 and len(err.encode()) <= 200
 
 
 class TestBuiltins:

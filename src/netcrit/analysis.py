@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .metrics import TIE_EPSILON, Direction, RankCluster, all_members, rank_with_ties
 from .simulator import RunRecord
-from .topology import Topology, natural_key
+from .topology import Topology, clip, natural_key
 
 @dataclass(frozen=True)
 class RankingComparison:
@@ -225,7 +225,8 @@ def compare_rankings(
     if all_members(metric_ranks) != universe:
         raise ValueError(
             "rankings cover different universes: "
-            f"{sorted(all_members(metric_ranks), key=str)} vs {sorted(universe, key=str)}"
+            f"{clip(str(sorted(all_members(metric_ranks), key=str)))} "
+            f"vs {clip(str(sorted(universe, key=str)))}"
         )
     _check_k(k, len(universe))
     return RankingComparison(

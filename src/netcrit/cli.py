@@ -458,7 +458,15 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (ValueError, OSError, SimulationLimitError, PowerIterationError) as exc:
+    except OSError as exc:
+        # The system's message, with each file name cut like any other input.
+        message = exc.strerror or clip(str(exc))
+        names = [f"'{clip(str(f))}'" for f in (exc.filename, exc.filename2) if f is not None]
+        if names:
+            message += ": " + " -> ".join(names)
+        print(f"error: {message}", file=sys.stderr)
+        return 1
+    except (ValueError, SimulationLimitError, PowerIterationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

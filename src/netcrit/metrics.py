@@ -18,14 +18,30 @@ Every metric numbers a topology's nodes in ``_graph``, which builds the
 numbering and its CSR arrays once per topology, cached for the last topology
 seen. Node betweenness, edge betweenness and eccentricity come from one
 shared shortest-path pass per topology (one BFS per source), cached the same
-way. The pass runs in numpy over blocks of ``SOURCE_BLOCK`` sources, one BFS
-level at a time, and keeps each level as a one-byte source row and an int32
-CSR slot per shortest-path pair, so its working set grows with the block
-times the edge count rather than with n^2. It still adds every sum's terms in
-the order of a queue-based BFS over one source at a time, so each float is
-bit-identical to that plain pass, which the tests keep as the reference. The
-eigenvector iterates on A + I, in the one dense n x n matrix it builds and
-owns.
+way. There are two exact passes, and each adds every sum's terms in the
+order of a queue-based BFS over one source at a time, so both return floats
+bit-identical to that plain pass, which the tests keep as the reference:
+
+* ``_queue_pass`` is that plain pass (Brandes 2001, "A faster algorithm for
+  betweenness centrality"), in Python lists, O(n + edges) per source.
+* ``_block_pass`` runs in numpy over blocks of ``SOURCE_BLOCK`` sources, one
+  BFS level at a time, and keeps each level as a one-byte source row and an
+  int32 CSR slot per shortest-path pair, so its working set grows with the
+  block times the edge count rather than with n^2. Each level costs about 45
+  numpy calls however narrow it is.
+
+``_pick_pass`` takes the queue pass when the block pass would average fewer
+than ``MIN_PAIRS_PER_LEVEL`` candidate pairs per level call: n * S pairs (n
+nodes, S CSR slots) over ceil(n / SOURCE_BLOCK) * D level calls, D a
+two-sweep BFS estimate of the diameter. The constant was measured on a
+2-core Xeon (CPython 3.11, numpy 2.4) over 13 shapes, and the rule picked
+the faster pass on each: the queue pass on the three built-in cases (1.5 to
+2 times faster, under 1 ms either way), paths of 100 to 600 nodes (about 3
+times faster) and a 3 x 2 x 60 feeder network (1.1 to 1.4 times), the block
+pass on generated meshes of 50 to 250 routers (1.2 to 2.5 times faster), a
+depth-7 binary tree, a 30 x 5 caterpillar and a 5 x 4 x 20 feeder network.
+The eigenvector iterates on A + I, in the one dense n x n matrix it builds
+and owns.
 
 A ranking is a plain tuple of ``RankCluster``s, most critical first.
 ``rank_with_ties`` sorts each cluster's members once, in natural order, and
@@ -35,6 +51,7 @@ depend on set iteration order or the string hash seed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -43,7 +60,7 @@ from typing import Hashable, Iterable, Mapping
 
 import numpy as np
 
-from .topology import Topology, edge_key, natural_key
+from .topology import Topology, clip, edge_key, natural_key
 
 
 class PowerIterationError(RuntimeError):
@@ -61,6 +78,11 @@ class PowerIterationError(RuntimeError):
 # Sources per block of the shortest-path pass: its arrays hold O(SOURCE_BLOCK
 # x edges) entries at once, not O(nodes^2).
 SOURCE_BLOCK = 24
+
+# The block pass averages about n * S / (ceil(n / SOURCE_BLOCK) * D)
+# candidate pairs per level call; below this many, _shortest_paths takes the
+# queue pass instead (see the module docstring).
+MIN_PAIRS_PER_LEVEL = 200
 
 # Power iteration of eigenvector_centrality: step tolerance and iteration budget.
 EIGENVECTOR_TOL = 1e-9
@@ -90,33 +112,137 @@ def _shortest_paths(t: Topology):
     Each source's BFS and dependency sweep yield node and edge sums at once
     (Brandes 2008, "On variants of shortest-path betweenness centrality and
     their generic computation"), and the BFS also gives its eccentricity.
-    Nodes are numbered by ``_graph`` and edges in first-seen order of their
-    node pair over its CSR slots. Returns five tuples, so the cached
-    result cannot be mutated: node ids, node sums, edge keys, edge sums (sums
-    over ordered pairs; callers halve them for undirected graphs) and each
-    node's eccentricity, the distance of the last node its BFS reaches or
-    None when it does not reach every node.
+    Nodes are numbered by ``_graph`` and edges by ``_edge_ids``. Returns five
+    tuples, so the cached result cannot be mutated: node ids, node sums,
+    edge keys, edge sums (sums over ordered pairs; callers halve them for
+    undirected graphs) and each node's eccentricity, the distance of the
+    last node its BFS reaches or None when it does not reach every node.
 
-    The sources go in blocks of ``SOURCE_BLOCK`` through ``_accumulate``,
-    which runs their BFSs and sweeps level by level in numpy. Every float is
-    the one a queue-based pass over one source at a time gives (kept in the
-    tests as the reference), because each sum adds the same terms in the
-    same order; ``_accumulate`` says how.
+    ``_pick_pass`` chooses ``_queue_pass`` or ``_block_pass``. Both return
+    exactly the tuples of the queue-based pass kept in the tests as the
+    reference, because each sum adds the same terms in the same order.
     """
-    nodes, deg, owner, nbr = _graph(t)
-    n = len(nodes)
+    return _pick_pass(t)(t)
+
+
+def _edge_ids(t: Topology):
+    """Each CSR slot's edge id, numbering edges in first-seen order of their
+    node pair over the slots, and the edge keys in that order."""
+    nodes, _, owner, nbr = _graph(t)
     slot: dict[tuple[int, int], int] = {}
-    eid = np.array([slot.setdefault((v, w) if v <= w else (w, v), len(slot))
-                    for v, w in zip(owner.tolist(), nbr.tolist())], dtype=np.intp)
+    eid = [slot.setdefault((v, w) if v <= w else (w, v), len(slot))
+           for v, w in zip(owner.tolist(), nbr.tolist())]
+    return eid, tuple(edge_key(nodes[v], nodes[w]) for v, w in slot)
+
+
+def _neighbours(t: Topology) -> list[list[int]]:
+    """Each node's neighbours, one per CSR slot, in slot order."""
+    _, deg, _, nbr = _graph(t)
+    targets = nbr.tolist()
+    ends = (0, *itertools.accumulate(deg))
+    return [targets[a:b] for a, b in zip(ends, ends[1:])]
+
+
+def _pick_pass(t: Topology):
+    """``_queue_pass`` when the block pass would average fewer than
+    ``MIN_PAIRS_PER_LEVEL`` candidate pairs per level call, else
+    ``_block_pass``.
+
+    The block pass scans n * S candidate pairs (n nodes, S CSR slots) in
+    about ceil(n / SOURCE_BLOCK) * D level calls, D the diameter, which two
+    BFS sweeps estimate: from node 0 to the last node it reaches, and from
+    there. On a disconnected graph that is node 0's component. A graph of
+    under two nodes has no level and takes the queue pass; D is at least 1.
+    """
+    nodes, _, owner, _ = _graph(t)
+    n = len(nodes)
+    if n < 2:
+        return _queue_pass
+    adj = _neighbours(t)
+    far, _ = _farthest(adj, 0)
+    _, d = _farthest(adj, far)
+    level_calls = -(-n // SOURCE_BLOCK) * max(d, 1)
+    return _queue_pass if n * len(owner) < MIN_PAIRS_PER_LEVEL * level_calls else _block_pass
+
+
+def _farthest(adj: list[list[int]], s: int) -> tuple[int, int]:
+    """The last node a BFS from ``s`` reaches, and its distance."""
+    dist = [-1] * len(adj)
+    dist[s] = 0
+    order = [s]
+    for v in order:
+        for w in adj[v]:
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                order.append(w)
+    return order[-1], dist[order[-1]]
+
+
+def _queue_pass(t: Topology):
+    """Brandes one source at a time in plain Python, as ``_shortest_paths``
+    returns it.
+
+    It is the tests' reference pass on the same numbering: a FIFO BFS that
+    adds each w's path count from its predecessors v in the order it scans
+    them, then a sweep in reversed BFS order that applies each w's terms to
+    delta[v] and the edge sums. The sweep finds w's predecessors by their
+    distance rather than in a list kept by the BFS: w's slots towards v
+    carry the same edge id and term as v's slots towards w, so every sum
+    still gets the same terms in the same order.
+    """
+    nodes = _graph(t)[0]
+    eid, edges = _edge_ids(t)
+    ids = iter(eid)
+    links = [[(w, next(ids)) for w in ws] for ws in _neighbours(t)]
+    n = len(nodes)
+    node_acc = [0.0] * n
+    edge_acc = [0.0] * len(edges)
+    ecc: list[int | None] = []
+    for s in range(n):
+        dist = [-1] * n
+        dist[s] = 0
+        sigma = [0.0] * n
+        sigma[s] = 1.0
+        order = [s]
+        for v in order:  # the BFS queue: the loop reads what it appends
+            dw = dist[v] + 1
+            sv = sigma[v]
+            for w, _ in links[v]:
+                if dist[w] < 0:
+                    dist[w] = dw
+                    order.append(w)
+                if dist[w] == dw:
+                    sigma[w] += sv
+        ecc.append(dist[order[-1]] if len(order) == n else None)
+        delta = [0.0] * n
+        for w in reversed(order):
+            dv = dist[w] - 1
+            coeff = (1.0 + delta[w]) / sigma[w]
+            for v, e in links[w]:
+                if dist[v] == dv:
+                    c = sigma[v] * coeff
+                    edge_acc[e] += c
+                    delta[v] += c
+        for w in order[1:]:
+            node_acc[w] += delta[w]
+    return nodes, tuple(node_acc), edges, tuple(edge_acc), tuple(ecc)
+
+
+def _block_pass(t: Topology):
+    """Brandes over blocks of ``SOURCE_BLOCK`` sources in numpy, as
+    ``_shortest_paths`` returns it; ``_accumulate`` runs each block."""
+    nodes, deg, owner, nbr = _graph(t)
+    eid, edges = _edge_ids(t)
+    n = len(nodes)
+    eid = np.array(eid, dtype=np.intp)
     start = np.zeros(n + 1, dtype=np.intp)
     start[1:] = np.cumsum(deg)
     node_acc = np.zeros(n)
-    edge_acc = np.zeros(len(slot))
+    edge_acc = np.zeros(len(edges))
     ecc: list[int | None] = []
     for first in range(0, n, SOURCE_BLOCK):
         sources = np.arange(first, min(first + SOURCE_BLOCK, n))
         ecc += _accumulate(sources, start, owner, nbr, eid, node_acc, edge_acc)
-    edges = tuple(edge_key(nodes[v], nodes[w]) for v, w in slot)
     return nodes, tuple(node_acc.tolist()), edges, tuple(edge_acc.tolist()), tuple(ecc)
 
 
@@ -311,7 +437,7 @@ def rank_with_ties(
     keys = list(values if subset is None else subset)
     missing = [k for k in keys if k not in values]
     if missing:
-        raise ValueError(f"subset ids not present in values: {missing}")
+        raise ValueError(f"subset ids not present in values: {clip(str(missing))}")
     items = [(k, float(values[k])) for k in keys]
     if not items:
         raise ValueError("nothing to rank")

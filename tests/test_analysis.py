@@ -154,6 +154,18 @@ class TestCompare:
         with pytest.raises(ValueError, match="different universes"):
             compare_rankings(metric, ranking, k=1)
 
+    def test_universe_mismatch_message_is_cut(self, hub_topology):
+        delays = {"2": 1.0, "5": 2.0, "9": 3.0, "11": 4.0}
+        ranking = rank_by_delay([fake_result(hub_topology, delays)], hub_topology)
+        with pytest.raises(ValueError) as short:
+            compare_rankings(rank_with_ties({"2": 1.0, "5": 2.0}), ranking, k=1)
+        assert str(short.value) == ("rankings cover different universes: "
+                                    "['2', '5'] vs ['11', '2', '5', '9']")
+        many = {f"r{i}": float(i) for i in range(3000)}
+        with pytest.raises(ValueError) as long:
+            compare_rankings(rank_with_ties(many), rank_with_ties({**many, "x": 0.0}), k=1)
+        assert len(str(long.value)) <= 200
+
     def test_excluded_never_in_topk(self, hub_topology):
         delays = {"2": 5.0, "5": 4.0, "9": 3.0, "11": 2.0}
         ranking = rank_by_delay([fake_result(hub_topology, delays)], hub_topology)

@@ -73,6 +73,19 @@ class TestMetricsCommand:
         assert rc != 0
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, name", [
+        pytest.param(("metrics", "--topology", "a/" * 3000), "a/" * 12,
+                     id="6000-char-topology-path"),
+        pytest.param(("metrics", "--case", "3", "--out", "d" * 3000), "d" * 24,
+                     id="3000-char-out-dir"),
+    ])
+    def test_file_error_cuts_its_path(self, tmp_path, capsys, monkeypatch, argv, name):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f": '{name}...'\n")
+        assert err.count("\n") == 1 and len(err.encode()) <= 200
+
     @pytest.mark.parametrize("argv", [
         ("metrics", "--case", "1"),
         ("compare", "--case", "3", "--seeds", "1", "--duration", "20"),

@@ -13,8 +13,11 @@ from netcrit.metrics import (
     SOURCE_BLOCK,
     Direction,
     PowerIterationError,
+    _block_pass,
     _graph,
+    _pick_pass,
     _power_iteration,
+    _queue_pass,
     _shortest_paths,
     betweenness_centrality,
     eccentricity_centrality,
@@ -236,14 +239,50 @@ def graph(n: int, seed: int, extra_edges: int = 0) -> Topology:
                     edges=tuple(edges))
 
 
+def routers(name: str, edges: list[tuple[str, str]]) -> Topology:
+    """Unvalidated graph of routers, numbered in first-seen order over ``edges``."""
+    ids = dict.fromkeys(v for e in edges for v in e)
+    return Topology(name=name, nodes=tuple((v, NodeRole.ROUTER) for v in ids),
+                    edges=tuple(edges))
+
+
+def path(n: int) -> Topology:
+    """One node per level."""
+    return routers(f"path{n}", [(str(i), str(i + 1)) for i in range(n - 1)])
+
+
+def binary_tree(depth: int) -> Topology:
+    return routers(f"tree{depth}", [(str((i - 1) // 2), str(i))
+                                    for i in range(1, 2 ** (depth + 1) - 1)])
+
+
+def feeders(count: int, branches: int, length: int) -> Topology:
+    """A radial network: ``count`` feeders from one hub, each splitting into
+    ``branches`` chains of ``length`` nodes."""
+    edges = []
+    for f in range(count):
+        edges.append(("hub", f"f{f}"))
+        for b in range(branches):
+            chain = [f"f{f}"] + [f"f{f}_{b}_{i}" for i in range(length)]
+            edges += zip(chain, chain[1:])
+    return routers(f"feeders{count}x{branches}x{length}", edges)
+
+
+def assert_both_passes_exact(t: Topology) -> None:
+    reference = oracles.reference_shortest_paths(t)
+    assert _block_pass(t) == reference
+    assert _queue_pass(t) == reference
+
+
 class TestExactOrder:
-    """The level-synchronous pass returns exactly the tuples of the queue-based
-    reference pass: every float equal, not just close."""
+    """Both shortest-path passes, each called directly, return exactly the
+    tuples of the queue-based reference pass: every float equal, not just
+    close."""
 
     @given(topologies(max_routers=4 * SOURCE_BLOCK, multihome_prob=0.5))
     @settings(max_examples=100, deadline=None)
     def test_matches_reference_pass(self, t):
-        assert _shortest_paths.__wrapped__(t) == oracles.reference_shortest_paths(t)
+        assert_both_passes_exact(t)
 
     @pytest.mark.parametrize("t", [
         Topology(name="duplicate", nodes=(("a", NodeRole.ROUTER), ("b", NodeRole.ROUTER),
@@ -256,22 +295,41 @@ class TestExactOrder:
                  edges=(("a", "b"), ("b", "c"), ("d", "e"))),
         Topology(name="one", nodes=(("a", NodeRole.ROUTER),), edges=()),
         Topology(name="empty", nodes=(), edges=()),
-        # One node per level, deeper than any generated topology.
-        Topology(name="path40", nodes=tuple((str(i), NodeRole.ROUTER) for i in range(40)),
-                 edges=tuple((str(i), str(i + 1)) for i in range(39))),
+        # Deeper than any generated topology.
+        path(40),
         # One very wide level: 300 nodes from the hub, 299 from each leaf.
         Topology(name="star300", nodes=tuple((str(i), NodeRole.ROUTER) for i in range(301)),
                  edges=tuple(("0", str(i)) for i in range(1, 301))),
     ], ids=lambda t: t.name)
     def test_odd_graphs(self, t):
-        assert _shortest_paths.__wrapped__(t) == oracles.reference_shortest_paths(t)
+        assert_both_passes_exact(t)
+        # Nor may the rule fail: it has no level to measure on the empty
+        # graph or on one node.
+        assert _pick_pass(t) in (_block_pass, _queue_pass)
 
     @pytest.mark.parametrize("n", [SOURCE_BLOCK - 1, SOURCE_BLOCK, SOURCE_BLOCK + 1,
                                    2 * SOURCE_BLOCK + 1])
     def test_block_boundaries(self, n):
         for seed, extra in [(0, 0), (1, n // 2), (2, 2 * n)]:
-            t = graph(n, seed, extra)
-            assert _shortest_paths.__wrapped__(t) == oracles.reference_shortest_paths(t)
+            assert_both_passes_exact(graph(n, seed, extra))
+
+    @pytest.mark.parametrize("t", [builtin_case(1), builtin_case(2), builtin_case(3),
+                                   path(600), feeders(3, 2, 60)], ids=lambda t: t.name)
+    def test_cases_and_long_chains(self, t):
+        assert_both_passes_exact(t)
+
+    @pytest.mark.parametrize("t, chosen", [
+        (builtin_case(1), _queue_pass),
+        (builtin_case(2), _queue_pass),
+        (builtin_case(3), _queue_pass),
+        (path(300), _queue_pass),
+        # metrics-large's size: 250 routers with 125 chords, a sink and 25
+        # generators make 276 nodes and 401 edges.
+        (graph(276, 0, 126), _block_pass),
+        (binary_tree(7), _block_pass),
+    ], ids=lambda x: getattr(x, "name", None) or getattr(x, "__name__", None))
+    def test_pass_choice(self, t, chosen):
+        assert _pick_pass(t) is chosen
 
     def test_memory_budget(self):
         # Blocks bound the working set: O(SOURCE_BLOCK x edges), not O(n^2).
@@ -284,6 +342,21 @@ class TestExactOrder:
         finally:
             tracemalloc.stop()
         assert peak <= 1_000_000
+
+    def test_queue_pass_memory_budget(self):
+        # O(n + edges) per source: about 400 bytes a node on a 300-node path,
+        # where n^2 float sums alone would take 720,000 bytes. (Under
+        # tracemalloc the pure-Python pass runs about 30 times slower, so the
+        # path is kept short.)
+        t = path(300)
+        t.adjacency
+        tracemalloc.start()
+        try:
+            _queue_pass(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 200_000
 
     def test_eigenvector_memory_budget(self):
         # One n x n matrix: A + I is built in place, not as A and a shifted copy.
@@ -359,6 +432,14 @@ class TestRankWithTies:
     def test_unknown_subset_id_rejected(self):
         with pytest.raises(ValueError, match="subset ids"):
             rank_with_ties({"a": 1.0}, subset=["b"])
+
+    def test_unknown_subset_ids_are_cut(self):
+        with pytest.raises(ValueError) as short:
+            rank_with_ties({"a": 1.0}, subset=["a", "b"])
+        assert str(short.value) == "subset ids not present in values: ['b']"
+        with pytest.raises(ValueError) as long:
+            rank_with_ties({"a": 1.0}, subset=[f"id{i}" for i in range(3000)])
+        assert str(long.value) == "subset ids not present in values: ['id0', 'id1', 'id2', 'i..."
 
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError):

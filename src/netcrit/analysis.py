@@ -69,10 +69,17 @@ def rank_by_delay(
         raise ValueError("need at least one simulation result")
     expected = set(t.router_ids)
     for r in results:
-        if r.topology_name != t.name or set(r.routers) != expected:
+        if r.topology_name != t.name:
             raise ValueError(
-                f"result for topology '{r.topology_name}' does not match '{t.name}'"
+                f"result for topology '{clip(r.topology_name)}' does not match '{clip(t.name)}'"
             )
+        got = set(r.routers)
+        if got != expected:
+            differences = [f"{label} {clip(', '.join(sorted(ids, key=natural_key)))}"
+                           for label, ids in (("missing", expected - got), ("extra", got - expected))
+                           if ids]
+            raise ValueError(f"result for topology '{clip(t.name)}' does not match its "
+                             f"routers: {'; '.join(differences)}")
     universe = ranked_universe(t)
     return rank_with_ties(mean_final_delays(results, universe),
                           Direction.HIGHER_IS_CRITICAL, tie_epsilon)

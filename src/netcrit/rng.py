@@ -10,7 +10,7 @@ A stream draws its uniforms from numpy in chunks and hands them out one by
 one. The fast path relies on PCG64's ``random(n)`` being chunk-size
 independent: k calls of ``random(n)`` yield the same doubles as one call of
 ``random(k * n)``, so ``_CHUNK`` sets only the buffer size (256 doubles,
-about 8 KB of Python floats per stream), never the draws.
+one 2 KB numpy buffer per stream), never the draws.
 """
 
 from __future__ import annotations
@@ -41,9 +41,10 @@ def stream(seed: int, *scope: str) -> Callable[[], float]:
     """Draw callable of one actor's stream, e.g. stream(seed, "router", "5").
 
     Each call returns the next uniform in [0, 1). It is ``next`` over the
-    chained chunks, each converted to a list of Python floats with
-    ``tolist()``, so a draw is one C-level call.
+    chained chunks, each read through a ``memoryview`` of its float64 array,
+    so a draw is one C-level call that boxes one double as a Python float.
+    The stream holds the chunk's 2 KB buffer, not 256 float objects.
     """
     gen = np.random.Generator(np.random.PCG64(substream_seed(seed, *scope)))
-    chunks = iter(lambda: gen.random(_CHUNK).tolist(), None)
+    chunks = iter(lambda: memoryview(gen.random(_CHUNK)), None)
     return functools.partial(next, itertools.chain.from_iterable(chunks))

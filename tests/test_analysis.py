@@ -1,3 +1,4 @@
+import dataclasses
 import statistics
 from array import array
 
@@ -91,6 +92,29 @@ class TestRankByDelay:
         res = fake_result(other, {})
         with pytest.raises(ValueError, match="does not match"):
             rank_by_delay([res], hub_topology)
+
+    @pytest.mark.parametrize("drop, add, message", [
+        (["10"], [], "result for topology 'case3' does not match its routers: missing 10"),
+        ([], ["99"], "result for topology 'case3' does not match its routers: extra 99"),
+        (["2", "14"], ["30", "4"],
+         "result for topology 'case3' does not match its routers: missing 2, 14; extra 4, 30"),
+    ], ids=["missing", "extra", "both"])
+    def test_mismatched_routers_named(self, drop, add, message):
+        t = builtin_case(3)
+        res = fake_result(t, {})
+        routers = {r: s for r, s in res.routers.items() if r not in drop}
+        routers.update((r, res.routers["1"]) for r in add)
+        with pytest.raises(ValueError) as err:
+            rank_by_delay([dataclasses.replace(res, routers=routers)], t)
+        assert str(err.value) == message
+
+    def test_mismatched_routers_message_is_cut(self):
+        t = builtin_case(3)
+        res = fake_result(t, {})
+        routers = {**res.routers, **{f"x{i}": res.routers["1"] for i in range(3000)}}
+        with pytest.raises(ValueError, match="extra x0, x1, ") as err:
+            rank_by_delay([dataclasses.replace(res, routers=routers)], t)
+        assert len(str(err.value)) <= 200
 
 
 class TestCompare:

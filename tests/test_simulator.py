@@ -47,7 +47,26 @@ class TestStreams:
         s = stream(42, "router", "7")
         expected = np.random.Generator(
             np.random.PCG64(substream_seed(42, "router", "7"))).random(n).tolist()
-        assert [s() for _ in range(n)] == expected
+        draws = [s() for _ in range(n)]
+        assert draws == expected
+        # A numpy scalar would print as np.float64(...) and change CSV bytes.
+        assert all(type(x) is float for x in draws)
+
+    def test_stream_memory_budget(self):
+        # Each stream holds one chunk's 2 KB float64 buffer, not 256 float objects.
+        stream(1, "warm-up")()  # imports hashlib and numpy.random's modules
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            streams = [stream(1, "router", str(i)) for i in range(25)]
+            for s in streams:
+                s()
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 25 * 5_000
 
     def test_interleaved_streams_do_not_interfere(self):
         n = 2 * _CHUNK + 3

@@ -200,8 +200,6 @@ def parse_topology(text: str, name: str = "topology") -> Topology:
     """
     nodes: list[tuple[str, NodeRole]] = []
     edges: list[tuple[str, str]] = []
-    declared: set[str] = set()
-    sink_seen: str | None = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -216,15 +214,6 @@ def parse_topology(text: str, name: str = "topology") -> Topology:
             role = _ROLES_BY_NAME.get(role_name)
             if role is None:
                 raise TopologyError(f"line {lineno}: unknown role '{clip(role_name)}'")
-            if nid in declared:
-                raise TopologyError(f"line {lineno}: duplicate node id '{clip(nid)}'")
-            if role is NodeRole.SINK:
-                if sink_seen is not None:
-                    raise TopologyError(
-                        f"line {lineno}: multiple sinks ('{clip(sink_seen)}' already declared)"
-                    )
-                sink_seen = nid
-            declared.add(nid)
             nodes.append((nid, role))
         elif parts[0] == "edge":
             if len(parts) != 3:

@@ -5,7 +5,8 @@ Betweenness is recomputed by explicitly enumerating every shortest path
 Floyd-Warshall; the eigenvector by a dense symmetric eigendecomposition;
 each router's packet arrival rate by a dense linear solve of the open
 queueing network the simulator's random walk forms; each generator's packet
-count and sizes by replaying its random stream alone. These stay
+count and sizes by replaying its random stream alone; each monitor tick's
+running mean delays by replaying a run's event trace. These stay
 deliberately naive and separate from the package code paths.
 
 ``reference_shortest_paths`` is the one exception: the plain queue-based
@@ -260,3 +261,41 @@ def replay_generators(t: Topology, config: SimConfig) -> dict[str, GeneratorRepl
             due += gaps[-1]
         replays[g] = GeneratorReplay(generated, size_total, gaps)
     return replays
+
+
+def replay_tick_delays(t: Topology, config: SimConfig,
+                       trace) -> tuple[list[float], dict[str, list[float]]]:
+    """Rebuild the monitor's tick times and every tick's running mean delay
+    per router from a run's ``on_event`` trace of (kind, time, router, packet).
+
+    Ticks fall every ``config.monitor_interval`` up to ``config.duration``.
+    A packet's sojourn at a router is its ``forward`` time minus its
+    ``arrive`` time there; a ``drop_ttl`` adds none. A tick at T counts only
+    the forwards strictly before T, since the tick goes first on a tie. The
+    mean is the sojourn sum over the forward count, 0.0 before the first.
+    """
+    times = []
+    now = config.monitor_interval
+    while now <= config.duration:
+        times.append(now)
+        now += config.monitor_interval
+    routers = t.router_ids
+    arrived = {}
+    sojourn = dict.fromkeys(routers, 0.0)
+    forwarded = dict.fromkeys(routers, 0)
+    delays = {r: [] for r in routers}
+    i = 0
+    for tick in times:
+        while i < len(trace) and trace[i][1] < tick:
+            kind, at, router, pid = trace[i]
+            i += 1
+            if kind == "arrive":
+                arrived[router, pid] = at
+            elif kind == "forward":
+                sojourn[router] += at - arrived.pop((router, pid))
+                forwarded[router] += 1
+            elif kind == "drop_ttl":
+                del arrived[router, pid]
+        for r in routers:
+            delays[r].append(sojourn[r] / forwarded[r] if forwarded[r] else 0.0)
+    return times, delays

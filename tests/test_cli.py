@@ -145,6 +145,23 @@ class TestMetricsCommand:
         assert run_cli("metrics", "--topology", str(bad)) == 1
         assert "duplicate node" in capsys.readouterr().err
 
+    def test_forwarding_rule_holds_for_simulation_commands_only(self, tmp_path, capsys):
+        # R2's only link is to generator G: the graph is valid, so the metrics
+        # compute, but a packet at R2 has nowhere to go.
+        topo = tmp_path / "stranded.topo"
+        topo.write_text("node S sink\nnode R1 router\nnode G generator\nnode R2 router\n"
+                        "edge S R1\nedge R1 G\nedge G R2\n")
+        assert run_cli("metrics", "--topology", str(topo), "--out", str(tmp_path / "m")) == 0
+        assert (tmp_path / "m" / "metrics" / "rankings.csv").exists()
+        capsys.readouterr()
+        for command in ("simulate", "compare", "sweep"):
+            out = tmp_path / command
+            assert run_cli(command, "--topology", str(topo), "--seeds", "1",
+                           "--duration", "10", "--out", str(out)) == 1
+            assert capsys.readouterr().err.startswith(
+                "error: router 'R2' has no eligible forwarding neighbor")
+            assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_deterministic_outputs(self, tmp_path):
@@ -211,12 +228,13 @@ class TestSimulateCommand:
         for seed in ("1", "2", "3"):
             assert (tmp_path / "runs" / "stable" / seed / "summary.csv").exists()
 
-    @pytest.mark.parametrize("bad", ["dos:", "flood:1", "ddos:"])
+    @pytest.mark.parametrize("bad", ["dos:", "flood:1", "ddos:", "stable:"])
     def test_bad_scenario_grammar(self, tmp_path, capsys, bad):
         rc = run_cli("simulate", "--case", "3", "--scenario", bad,
                      "--seeds", "1", "--duration", "10", "--out", str(tmp_path))
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_unknown_target_router(self, tmp_path, capsys):
         rc = run_cli("simulate", "--case", "3", "--scenario", "dos:99",

@@ -550,3 +550,24 @@ class TestGeneratorReplay:
             scenario = Scenario.dos(rng.choice(t.router_ids)) if seed % 2 else Scenario.stable()
             self.assert_replayed(t, SimConfig(duration=200.0, seed=seed), scenario)
         assert multihomed >= 20  # so the replay's router draw is exercised
+
+
+class TestMonitorReplay:
+    """Every tick's per-router delay against ``oracles.replay_tick_delays``,
+    which rebuilds the running means from the run's event trace alone. Both
+    add the same sojourns in the same order, so they must match exactly."""
+
+    @pytest.mark.parametrize("case, target", [(1, "5"), (2, "3"), (3, "6")])
+    @pytest.mark.parametrize("ttl", [0, 3])
+    def test_tick_delays_match_trace(self, case, target, ttl):
+        t = builtin_case(case)
+        for seed in range(1, 4):
+            for scenario in (Scenario.stable(), Scenario.dos(target, 0.3),
+                             Scenario.ddos(["2", "6"], 0.3)):
+                config = SimConfig(duration=300.0, seed=seed, ttl=ttl)
+                trace = []
+                result = run(t, config, scenario, on_event=lambda *event: trace.append(event))
+                times, delays = oracles.replay_tick_delays(t, config, trace)
+                assert list(result.tick_times) == times
+                assert {r: list(d) for r, d in result.tick_delays.items()} == delays
+                assert any(any(d) for d in delays.values())

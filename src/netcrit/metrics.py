@@ -14,13 +14,13 @@ Conventions, fixed for the whole package:
 * Eigenvector: dominant eigenvector of the adjacency matrix, unit Euclidean
   norm, all entries nonnegative.
 
-Every metric numbers a topology's nodes in ``_graph``, which builds the
-numbering and its CSR arrays once per topology, cached for the last topology
-seen. Node betweenness, edge betweenness and eccentricity come from one
-shared shortest-path pass per topology (one BFS per source), cached the same
-way. There are two exact passes, and each adds every sum's terms in the
-order of a queue-based BFS over one source at a time, so both return floats
-bit-identical to that plain pass, which the tests keep as the reference:
+Every metric numbers a topology's nodes and edges in ``_graph``, which
+builds the numbering and its CSR arrays once per topology, cached for the
+last topology seen. Node betweenness, edge betweenness and eccentricity come
+from one shared shortest-path pass per topology (one BFS per source), cached
+the same way. There are two exact passes, and each adds every sum's terms
+in the order of a queue-based BFS over one source at a time, so both return
+floats bit-identical to that plain pass, the tests' reference:
 
 * ``_queue_pass`` is that plain pass (Brandes 2001, "A faster algorithm for
   betweenness centrality"), in Python lists, O(n + edges) per source.
@@ -51,7 +51,6 @@ depend on set iteration order or the string hash seed.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -91,18 +90,25 @@ EIGENVECTOR_MAX_ITER = 10_000
 
 @lru_cache(maxsize=1)
 def _graph(t: Topology):
-    """Node ids in adjacency order and the graph's CSR arrays over them: node
-    v has ``deg[v]`` slots, in adjacency order, and slot k is the entry of
-    node ``owner[k]`` for neighbour ``nbr[k]``. The shortest-path pass and
-    the eigenvector share the cached result: tuples and read-only arrays."""
+    """Node ids in adjacency order, edge keys in first-seen order over the
+    slots, and the CSR arrays over them: node v's slots are ``start[v]`` to
+    ``start[v+1]``, in adjacency order, and slot k is the entry of node
+    ``owner[k]`` for neighbour ``nbr[k]`` on edge ``eid[k]``. Every metric
+    shares the cached result: tuples and read-only arrays."""
     adj = t.adjacency
     nodes = tuple(adj)
     index = {v: i for i, v in enumerate(nodes)}
-    deg = tuple(len(adj[v]) for v in nodes)
-    owner = np.repeat(np.arange(len(nodes)), deg)
-    nbr = np.array([index[w] for v in nodes for w in adj[v]], dtype=np.intp)
-    owner.flags.writeable = nbr.flags.writeable = False
-    return nodes, deg, owner, nbr
+    slot: dict[tuple[str, str], int] = {}
+    start, nbr, eid = [0], [], []  # lists, not np.cumsum: each new numpy kernel pages in 64 KB
+    for v in nodes:
+        nbr += (index[w] for w in adj[v])
+        eid += (slot.setdefault(edge_key(v, w), len(slot)) for w in adj[v])
+        start.append(len(nbr))
+    start, nbr, eid = (np.array(a, dtype=np.intp) for a in (start, nbr, eid))
+    owner = np.repeat(np.arange(len(nodes)), [len(adj[v]) for v in nodes])
+    for a in (start, owner, nbr, eid):
+        a.flags.writeable = False
+    return nodes, tuple(slot), start, owner, nbr, eid
 
 
 @lru_cache(maxsize=1)
@@ -112,11 +118,11 @@ def _shortest_paths(t: Topology):
     Each source's BFS and dependency sweep yield node and edge sums at once
     (Brandes 2008, "On variants of shortest-path betweenness centrality and
     their generic computation"), and the BFS also gives its eccentricity.
-    Nodes are numbered by ``_graph`` and edges by ``_edge_ids``. Returns five
-    tuples, so the cached result cannot be mutated: node ids, node sums,
-    edge keys, edge sums (sums over ordered pairs; callers halve them for
-    undirected graphs) and each node's eccentricity, the distance of the
-    last node its BFS reaches or None when it does not reach every node.
+    Returns three tuples in ``_graph``'s numbering, so the cached result
+    cannot be mutated: node sums, edge sums (sums over ordered pairs; callers
+    halve them for undirected graphs) and each node's eccentricity, the
+    distance of the last node its BFS reaches or None when it does not reach
+    every node.
 
     ``_pick_pass`` chooses ``_queue_pass`` or ``_block_pass``. Both return
     exactly the tuples of the queue-based pass kept in the tests as the
@@ -125,21 +131,10 @@ def _shortest_paths(t: Topology):
     return _pick_pass(t)(t)
 
 
-def _edge_ids(t: Topology):
-    """Each CSR slot's edge id, numbering edges in first-seen order of their
-    node pair over the slots, and the edge keys in that order."""
-    nodes, _, owner, nbr = _graph(t)
-    slot: dict[tuple[int, int], int] = {}
-    eid = [slot.setdefault((v, w) if v <= w else (w, v), len(slot))
-           for v, w in zip(owner.tolist(), nbr.tolist())]
-    return eid, tuple(edge_key(nodes[v], nodes[w]) for v, w in slot)
-
-
 def _neighbours(t: Topology) -> list[list[int]]:
     """Each node's neighbours, one per CSR slot, in slot order."""
-    _, deg, _, nbr = _graph(t)
-    targets = nbr.tolist()
-    ends = (0, *itertools.accumulate(deg))
+    _, _, start, _, nbr, _ = _graph(t)
+    targets, ends = nbr.tolist(), start.tolist()
     return [targets[a:b] for a, b in zip(ends, ends[1:])]
 
 
@@ -154,7 +149,7 @@ def _pick_pass(t: Topology):
     there. On a disconnected graph that is node 0's component. A graph of
     under two nodes has no level and takes the queue pass; D is at least 1.
     """
-    nodes, _, owner, _ = _graph(t)
+    nodes, _, _, owner, _, _ = _graph(t)
     n = len(nodes)
     if n < 2:
         return _queue_pass
@@ -190,9 +185,8 @@ def _queue_pass(t: Topology):
     carry the same edge id and term as v's slots towards w, so every sum
     still gets the same terms in the same order.
     """
-    nodes = _graph(t)[0]
-    eid, edges = _edge_ids(t)
-    ids = iter(eid)
+    nodes, edges, _, _, _, eid = _graph(t)
+    ids = iter(eid.tolist())
     links = [[(w, next(ids)) for w in ws] for ws in _neighbours(t)]
     n = len(nodes)
     node_acc = [0.0] * n
@@ -225,25 +219,21 @@ def _queue_pass(t: Topology):
                     delta[v] += c
         for w in order[1:]:
             node_acc[w] += delta[w]
-    return nodes, tuple(node_acc), edges, tuple(edge_acc), tuple(ecc)
+    return tuple(node_acc), tuple(edge_acc), tuple(ecc)
 
 
 def _block_pass(t: Topology):
     """Brandes over blocks of ``SOURCE_BLOCK`` sources in numpy, as
     ``_shortest_paths`` returns it; ``_accumulate`` runs each block."""
-    nodes, deg, owner, nbr = _graph(t)
-    eid, edges = _edge_ids(t)
+    nodes, edges, start, owner, nbr, eid = _graph(t)
     n = len(nodes)
-    eid = np.array(eid, dtype=np.intp)
-    start = np.zeros(n + 1, dtype=np.intp)
-    start[1:] = np.cumsum(deg)
     node_acc = np.zeros(n)
     edge_acc = np.zeros(len(edges))
     ecc: list[int | None] = []
     for first in range(0, n, SOURCE_BLOCK):
         sources = np.arange(first, min(first + SOURCE_BLOCK, n))
         ecc += _accumulate(sources, start, owner, nbr, eid, node_acc, edge_acc)
-    return nodes, tuple(node_acc.tolist()), edges, tuple(edge_acc.tolist()), tuple(ecc)
+    return tuple(node_acc.tolist()), tuple(edge_acc.tolist()), tuple(ecc)
 
 
 def _accumulate(sources: np.ndarray, start: np.ndarray, owner: np.ndarray, nbr: np.ndarray,
@@ -335,7 +325,7 @@ def _accumulate(sources: np.ndarray, start: np.ndarray, owner: np.ndarray, nbr: 
 def betweenness_centrality(t: Topology) -> dict[str, float]:
     """Shortest-path betweenness of every node, normalized to [0, 1]."""
     n = len(t.nodes)
-    nodes, node_acc, _, _, _ = _shortest_paths(t)
+    nodes, node_acc = _graph(t)[0], _shortest_paths(t)[0]
     pairs = (n - 1) * (n - 2) / 2.0
     if pairs <= 0:
         return {v: 0.0 for v in nodes}
@@ -345,14 +335,14 @@ def betweenness_centrality(t: Topology) -> dict[str, float]:
 def edge_betweenness(t: Topology) -> dict[tuple[str, str], float]:
     """Shortest-path betweenness of every edge, normalized to [0, 1]."""
     n = len(t.nodes)
-    _, _, edges, edge_acc, _ = _shortest_paths(t)
+    edges, edge_acc = _graph(t)[1], _shortest_paths(t)[1]
     pairs = n * (n - 1) / 2.0
     return {e: acc / 2.0 / pairs for e, acc in zip(edges, edge_acc)}
 
 
 def eccentricity_centrality(t: Topology) -> dict[str, int]:
     """Eccentricity in hops per node; ValueError if some pair is unreachable."""
-    nodes, _, _, _, ecc = _shortest_paths(t)
+    nodes, ecc = _graph(t)[0], _shortest_paths(t)[2]
     for v, e in zip(nodes, ecc):
         if e is None:
             raise ValueError(f"eccentricity undefined: node {v} cannot reach every node")
@@ -366,35 +356,29 @@ def eigenvector_centrality(t: Topology) -> dict[str, float]:
     with lambda the Rayleigh quotient. Raises PowerIterationError if that
     residual bound is not reached within ``EIGENVECTOR_MAX_ITER`` iterations.
     """
-    nodes, _, owner, nbr = _graph(t)
+    nodes, _, _, owner, nbr, _ = _graph(t)
     n = len(nodes)
+    # Iterate on b = A + I: the shift leaves eigenvectors unchanged but
+    # guarantees convergence on bipartite graphs (trees), where the raw
+    # adjacency spectrum is symmetric and plain power iteration oscillates.
+    # The residual is A's too, since (A + I) x - (lambda + 1) x = A x - lambda x.
     b = np.zeros((n, n))
     b[owner, nbr] = 1.0
     b.flat[:: n + 1] += 1.0
-    x = _power_iteration(b, EIGENVECTOR_TOL, EIGENVECTOR_MAX_ITER)
-    return dict(zip(nodes, x.tolist()))
-
-
-def _power_iteration(b: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    # ``b`` is A + I: the shift leaves eigenvectors unchanged but guarantees
-    # convergence on bipartite graphs (trees), where the raw adjacency
-    # spectrum is symmetric and plain power iteration oscillates. The
-    # residual is A's too, since (A + I) x - (lambda + 1) x = A x - lambda x.
-    n = b.shape[0]
     x = np.full(n, 1.0 / np.sqrt(n))
     residual = np.inf
-    for _ in range(max_iter):
+    for _ in range(EIGENVECTOR_MAX_ITER):
         y = b @ x
         y /= np.linalg.norm(y)
         diff = float(np.max(np.abs(y - x)))
         x = y
-        if diff < tol:
+        if diff < EIGENVECTOR_TOL:
             bx = b @ x
             lam = float(x @ bx)
             residual = float(np.max(np.abs(bx - lam * x)))
-            if residual <= 10.0 * tol:
-                return x
-    raise PowerIterationError(max_iter, residual)
+            if residual <= 10.0 * EIGENVECTOR_TOL:
+                return dict(zip(nodes, x.tolist()))
+    raise PowerIterationError(EIGENVECTOR_MAX_ITER, residual)
 
 
 class Direction(Enum):

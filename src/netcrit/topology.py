@@ -152,12 +152,6 @@ def validate_topology(t: Topology) -> None:
                     f"generator '{clip(gid)}' may connect only to routers "
                     f"(edge {clip(gid)}-{clip(n)})"
                 )
-    for n in adjacency[t.sink_id]:
-        if roles[n] is not NodeRole.ROUTER:
-            raise TopologyError(
-                f"sink '{clip(t.sink_id)}' may connect only to routers "
-                f"(edge {clip(t.sink_id)}-{clip(n)})"
-            )
 
     # Connectivity: every node must reach the sink.
     reached = {t.sink_id}
@@ -218,6 +212,8 @@ def parse_topology(text: str, name: str = "topology") -> Topology:
         elif parts[0] == "edge":
             if len(parts) != 3:
                 raise TopologyError(f"line {lineno}: expected 'edge <id> <id>'")
+            for end in parts[1:]:
+                _check_node_id(end, f"line {lineno}: ")
             edges.append((parts[1], parts[2]))
         else:
             raise TopologyError(f"line {lineno}: unknown directive '{clip(parts[0])}'")

@@ -6,13 +6,13 @@ Floyd-Warshall; the eigenvector by a dense symmetric eigendecomposition;
 each router's packet arrival rate by a dense linear solve of the open
 queueing network the simulator's random walk forms; each generator's packet
 count and sizes by replaying its random stream alone; each monitor tick's
-running mean delays by replaying a run's event trace. These stay
-deliberately naive and separate from the package code paths.
+running mean delays, and the service times a busy router starts, from a
+run's event trace. These stay deliberately naive and separate from the
+package code paths.
 
 ``reference_shortest_paths`` is the one exception: the plain queue-based
 Brandes pass, one source at a time, that fixes the order of every float
-addition. The package's level-synchronous pass must return exactly its
-tuples.
+addition. Both package passes must return exactly its sums.
 """
 
 from __future__ import annotations
@@ -139,9 +139,10 @@ def dense_dominant_eigenvector(adj):
 def reference_shortest_paths(t: Topology):
     """Brandes' accumulation over every source in pure Python, one BFS each.
 
-    Returns the same five tuples as ``netcrit.metrics._shortest_paths``:
-    node ids, node sums, edge keys, edge sums (over ordered pairs) and each
-    node's eccentricity, or None when its BFS does not reach every node.
+    Returns five tuples: node ids, node sums, edge keys, edge sums (over
+    ordered pairs) and each node's eccentricity, or None when its BFS does
+    not reach every node. ``netcrit.metrics._graph`` must give the ids and
+    keys, and ``netcrit.metrics._shortest_paths`` the other three.
     """
     adj = t.adjacency
     nodes = list(adj)
@@ -299,3 +300,29 @@ def replay_tick_delays(t: Topology, config: SimConfig,
         for r in routers:
             delays[r].append(sojourn[r] / forwarded[r] if forwarded[r] else 0.0)
     return times, delays
+
+
+def busy_services(trace, router: str) -> list[float]:
+    """The service times ``router`` started at a completion, from a run's
+    ``on_event`` trace of (kind, time, router, packet).
+
+    The server is FIFO, and a completion is a ``forward`` or a ``drop_ttl``.
+    When packet b completes at t2 right after packet a completed at t1, and
+    b arrived strictly before t1, b was queued behind a, so its service
+    began at t1 and lasted t2 - t1. A packet that arrived at an idle server
+    began on arrival and is skipped. Whether b was queued is settled before
+    its service is drawn, so the selected times keep the drawn mean.
+    """
+    arrived = {}
+    last = None
+    services = []
+    for kind, at, r, pid in trace:
+        if r != router:
+            continue
+        if kind == "arrive":
+            arrived[pid] = at
+        elif kind in ("forward", "drop_ttl"):
+            if last is not None and arrived[pid] < last:
+                services.append(at - last)
+            last = at
+    return services

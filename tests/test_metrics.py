@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import chorded_ring_text, make_random_topology, topologies
+from netcrit import metrics
 from netcrit.metrics import (
     EIGENVECTOR_TOL,
     SOURCE_BLOCK,
@@ -16,7 +17,6 @@ from netcrit.metrics import (
     _block_pass,
     _graph,
     _pick_pass,
-    _power_iteration,
     _queue_pass,
     _shortest_paths,
     betweenness_centrality,
@@ -64,6 +64,12 @@ class TestBetweenness:
         rc = rank_with_ties(betweenness_centrality(t), subset=[str(i) for i in range(15)])
         assert [c.members for c in rc] == [
             ("1", "2"), ("0",), ("3", "4", "5", "6"), tuple(str(i) for i in range(7, 15))]
+
+    def test_under_three_nodes_all_zero(self):
+        # No pair has an interior node to count.
+        one = Topology(name="one", nodes=(("a", NodeRole.ROUTER),), edges=())
+        assert betweenness_centrality(one) == {"a": 0.0}
+        assert betweenness_centrality(routers("two", [("a", "b")])) == {"a": 0.0, "b": 0.0}
 
 
 class TestEdgeBetweenness:
@@ -156,29 +162,21 @@ class TestSharedPass:
                   eccentricity_centrality):
             f(t)
         assert _graph.cache_info().misses == 1
-        _, _, owner, nbr = _graph(t)
-        assert not owner.flags.writeable and not nbr.flags.writeable
+        _, _, *arrays = _graph(t)
+        assert len(arrays) == 4 and not any(a.flags.writeable for a in arrays)
 
 
 class TestEigenvector:
     def test_cycle4_uniform_half(self):
-        b = np.eye(4)  # _power_iteration takes A + I
-        for i in range(4):
-            b[i, (i + 1) % 4] = b[(i + 1) % 4, i] = 1.0
-        x = _power_iteration(b, tol=1e-9, max_iter=1000)
-        assert np.allclose(x, 0.5, atol=1e-9)
+        eig = eigenvector_centrality(routers("cycle4", [("0", "1"), ("1", "2"), ("2", "3"),
+                                                        ("3", "0")]))
+        assert np.allclose(list(eig.values()), 0.5, atol=1e-9)
 
-    def test_argument_left_unchanged(self):
-        # _power_iteration only reads its matrix, on return and on raise.
-        b = np.eye(5)
-        for i in range(4):  # A + I of a path, so one iteration does not converge
-            b[i, i + 1] = b[i + 1, i] = 1.0
-        before = b.copy()
-        _power_iteration(b, tol=1e-9, max_iter=1000)
-        assert b.tobytes() == before.tobytes()
-        with pytest.raises(PowerIterationError):
-            _power_iteration(b, tol=1e-9, max_iter=1)
-        assert b.tobytes() == before.tobytes()
+    def test_iteration_budget_exhausted(self, monkeypatch):
+        # One iteration from the uniform start does not converge on a path.
+        monkeypatch.setattr(metrics, "EIGENVECTOR_MAX_ITER", 1)
+        with pytest.raises(PowerIterationError, match="after 1 iterations"):
+            eigenvector_centrality(path(5))
 
     def test_star_center_to_leaf_ratio_sqrt3(self):
         t = star4()
@@ -269,15 +267,16 @@ def feeders(count: int, branches: int, length: int) -> Topology:
 
 
 def assert_both_passes_exact(t: Topology) -> None:
-    reference = oracles.reference_shortest_paths(t)
-    assert _block_pass(t) == reference
-    assert _queue_pass(t) == reference
+    nodes, node_acc, edges, edge_acc, ecc = oracles.reference_shortest_paths(t)
+    assert _graph(t)[:2] == (nodes, edges)
+    assert _block_pass(t) == (node_acc, edge_acc, ecc)
+    assert _queue_pass(t) == (node_acc, edge_acc, ecc)
 
 
 class TestExactOrder:
     """Both shortest-path passes, each called directly, return exactly the
-    tuples of the queue-based reference pass: every float equal, not just
-    close."""
+    sums and eccentricities of the queue-based reference pass, in the node
+    and edge order of ``_graph``: every float equal, not just close."""
 
     @given(topologies(max_routers=4 * SOURCE_BLOCK, multihome_prob=0.5))
     @settings(max_examples=100, deadline=None)

@@ -81,14 +81,44 @@ class TestParse:
             parse_topology(text)
 
     def test_generator_sink_edge_rejected(self):
-        with pytest.raises(TopologyError):
+        # The generator rule owns this edge: the sink needs no rule of its own.
+        with pytest.raises(TopologyError, match=re.escape(
+                "generator 'G1' may connect only to routers (edge G1-S)")):
             parse_topology(MINIMAL + "\nedge G1 S")
+
+    # Texts a parse or validation rule rejects, with the whole message.
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("node S sink\nnode R1\n", "line 2: expected 'node <id> <role>'",
+                     id="node-two-fields"),
+        pytest.param("node S sink\nnode R1 router x\n", "line 2: expected 'node <id> <role>'",
+                     id="node-four-fields"),
+        pytest.param(MINIMAL + "\nedge R1", "line 6: expected 'edge <id> <id>'",
+                     id="edge-two-fields"),
+        pytest.param(MINIMAL + "\nedge R1 S G1", "line 6: expected 'edge <id> <id>'",
+                     id="edge-four-fields"),
+        pytest.param(MINIMAL + "\nnode G2 generator",
+                     "generator 'G2' has no link (degree >= 1 required)",
+                     id="isolated-generator"),
+    ])
+    def test_rejected_with_message(self, text, message):
+        with pytest.raises(TopologyError, match=f"^{re.escape(message)}$"):
+            parse_topology(text)
+
+    def test_sink_id_of_topology_without_sink(self):
+        t = Topology("nosink", nodes=(("R", NodeRole.ROUTER),), edges=())
+        with pytest.raises(TopologyError, match="^topology 'nosink' has no sink$"):
+            t.sink_id
 
     @pytest.mark.parametrize("bad", BAD_IDS)
     def test_node_id_charset_enforced_with_line(self, bad):
         text = f"node S sink\nnode {bad} router\nnode G generator\nedge S {bad}\n"
         with pytest.raises(TopologyError, match=r"line 2: node id .* \[A-Za-z0-9_\]"):
             parse_topology(text)
+        # On an edge line too, at either end, before validation could call
+        # the id undeclared.
+        for edge in (f"edge {bad} R1", f"edge R1 {bad}"):
+            with pytest.raises(TopologyError, match=rf"^line 6: node id '{re.escape(bad)}' "):
+                parse_topology(f"{MINIMAL}\n{edge}\n")
 
     @pytest.mark.parametrize("bad", BAD_IDS)
     def test_node_id_charset_enforced_before_any_run(self, bad, tmp_path):

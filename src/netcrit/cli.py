@@ -194,10 +194,11 @@ def parse_seeds(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in items)
 
 
-def _core_edge_keys(t: Topology) -> list[tuple[str, str]]:
-    """Edges between non-generator nodes (the infrastructure links)."""
+def _core_edge_keys(t: Topology, edges) -> list[tuple[str, str]]:
+    """The keys of ``edges``, a mapping keyed by ``t``'s edges, that join two
+    non-generator nodes (the infrastructure links)."""
     roles = t.roles
-    return [e for e in t.edge_keys()
+    return [e for e in edges
             if roles[e[0]] is not NodeRole.GENERATOR and roles[e[1]] is not NodeRole.GENERATOR]
 
 
@@ -229,7 +230,8 @@ def cmd_metrics(args) -> int:
     t = _load(args)
     nodes = _node_metrics(t)
     edges = edge_betweenness(t)
-    rankings = _rankings(nodes, t.router_ids, edges, _core_edge_keys(t), args.tie_epsilon)
+    rankings = reports.ranking_ids(_rankings(nodes, t.router_ids, edges,
+                                             _core_edge_keys(t, edges), args.tie_epsilon))
 
     out = Path(args.out) / "metrics"
     out.mkdir(parents=True, exist_ok=True)
@@ -366,7 +368,7 @@ def cmd_compare(args) -> int:
     # infrastructure link each router terminates, so it can be ranked
     # against per-router delays.
     edges = edge_betweenness(t)
-    core = _core_edge_keys(t)
+    core = _core_edge_keys(t, edges)
     router_share = {
         router: max((edges[e] for e in core if router in e), default=0.0)
         for router in universe
@@ -397,9 +399,11 @@ def cmd_case_study(args) -> int:
     )
     manifest = RunManifest(topology=t, scenarios=scenarios, seeds=parse_seeds(args.seeds),
                            duration=args.duration, out_dir=Path(args.out))
-    rankings = _rankings(_node_metrics(t), t.router_ids, edge_betweenness(t),
-                         _core_edge_keys(t), TIE_EPSILON)
-    print(reports.cluster_summary_text(f"{t.name}: centrality rankings", rankings))
+    edges = edge_betweenness(t)
+    rankings = _rankings(_node_metrics(t), t.router_ids, edges, _core_edge_keys(t, edges),
+                         TIE_EPSILON)
+    print(reports.cluster_summary_text(f"{t.name}: centrality rankings",
+                                       reports.ranking_ids(rankings)))
 
     results = execute_manifest(manifest, echo=_echo_stderr)
     routers = sorted(t.router_ids, key=natural_key)

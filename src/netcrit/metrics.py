@@ -98,17 +98,27 @@ def _graph(t: Topology):
     adj = t.adjacency
     nodes = tuple(adj)
     index = {v: i for i, v in enumerate(nodes)}
-    slot: dict[tuple[str, str], int] = {}
+    # Each edge is keyed once, at its first slot; its other slot, and the
+    # slots of a repeat of it in an unvalidated graph, find its id by the
+    # plain ordered pair.
+    ids: dict[tuple[str, str], int] = {}
+    keys: list[tuple[str, str]] = []
     start, nbr, eid = [0], [], []  # lists, not np.cumsum: each new numpy kernel pages in 64 KB
     for v in nodes:
-        nbr += (index[w] for w in adj[v])
-        eid += (slot.setdefault(edge_key(v, w), len(slot)) for w in adj[v])
+        for w in adj[v]:
+            pair = (v, w) if v < w else (w, v)
+            e = ids.get(pair)
+            if e is None:
+                e = ids[pair] = len(keys)
+                keys.append(edge_key(v, w))
+            eid.append(e)
+        nbr += map(index.__getitem__, adj[v])
         start.append(len(nbr))
     start, nbr, eid = (np.array(a, dtype=np.intp) for a in (start, nbr, eid))
     owner = np.repeat(np.arange(len(nodes)), [len(adj[v]) for v in nodes])
     for a in (start, owner, nbr, eid):
         a.flags.writeable = False
-    return nodes, tuple(slot), start, owner, nbr, eid
+    return nodes, tuple(keys), start, owner, nbr, eid
 
 
 @lru_cache(maxsize=1)
@@ -285,22 +295,25 @@ def _accumulate(sources: np.ndarray, start: np.ndarray, owner: np.ndarray, nbr: 
     depth = 0
     while frontier.size:
         depth += 1
-        deg = start[fnode + 1] - start[fnode]
-        ends = np.cumsum(deg)
-        k = np.arange(ends[-1]) + np.repeat(start[fnode] - ends + deg, deg)
-        base = np.repeat(frontier - fnode, deg)  # row * n
+        first = start[fnode]
+        deg = start[fnode + 1] - first
+        ends = deg.cumsum()
+        k = np.arange(ends[-1]) + (first - ends + deg).repeat(deg)
+        base = (frontier - fnode).repeat(deg)  # row * n
         w = base + nbr[k]
-        fresh = np.flatnonzero(dist[w] < 0)
+        fresh = (dist[w] < 0).nonzero()[0]
+        if not fresh.size:  # every candidate reached: this frontier is the last level
+            break
         k, base, w = k[fresh], base[fresh], w[fresh]
         idx = np.arange(w.size)
         np.minimum.at(first_seen, w, idx)
-        new = np.flatnonzero(first_seen[w] == idx)
+        new = (first_seen[w] == idx).nonzero()[0]
         frontier, fnode = w[new], nbr[k[new]]
         dist[frontier] = depth
         pos[frontier] = idx[:new.size]
         at = pos[w]
         sigma[frontier] = np.bincount(at, weights=sigma[base + owner[k]])
-        order = np.argsort((new.size - at).astype(np.min_scalar_type(new.size)), kind="stable")
+        order = (new.size - at).astype(np.min_scalar_type(new.size)).argsort(kind="stable")
         levels.append(((base[order] // n).astype(row_type), k[order].astype(np.int32)))
 
     delta = np.zeros(size)
@@ -312,9 +325,10 @@ def _accumulate(sources: np.ndarray, start: np.ndarray, owner: np.ndarray, nbr: 
         at = pos[v]
         delta[v] = np.bincount(at, weights=c)[at]
         coeffs.append(c)
-    row, k = (np.concatenate(parts[::-1]) for parts in zip(*levels))
-    by_source = np.argsort(row, kind="stable")
-    np.add.at(edge_acc, eid[k[by_source]], np.concatenate(coeffs)[by_source])
+    if levels:  # a block of isolated sources has none
+        row, k = (np.concatenate(parts[::-1]) for parts in zip(*levels))
+        by_source = row.argsort(kind="stable")
+        np.add.at(edge_acc, eid[k[by_source]], np.concatenate(coeffs)[by_source])
     delta[roots] = 0.0
     for dependencies in delta.reshape(b, n):
         node_acc += dependencies
@@ -345,7 +359,7 @@ def eccentricity_centrality(t: Topology) -> dict[str, int]:
     nodes, ecc = _graph(t)[0], _shortest_paths(t)[2]
     for v, e in zip(nodes, ecc):
         if e is None:
-            raise ValueError(f"eccentricity undefined: node {v} cannot reach every node")
+            raise ValueError(f"eccentricity undefined: node {clip(v)} cannot reach every node")
     return dict(zip(nodes, ecc))
 
 
@@ -369,8 +383,10 @@ def eigenvector_centrality(t: Topology) -> dict[str, float]:
     residual = np.inf
     for _ in range(EIGENVECTOR_MAX_ITER):
         y = b @ x
-        y /= np.linalg.norm(y)
-        diff = float(np.max(np.abs(y - x)))
+        # np.linalg.norm of a 1-D float vector is sqrt(y.dot(y)): the same
+        # floats, without its Python wrapper.
+        y /= math.sqrt(y.dot(y))
+        diff = float(np.abs(y - x).max())
         x = y
         if diff < EIGENVECTOR_TOL:
             bx = b @ x
@@ -435,7 +451,8 @@ def rank_with_ties(
             groups[-1][0].append(key)
         else:
             groups.append(([key], val))
-    return tuple(RankCluster(tuple(sorted(members, key=lambda m: natural_key(str(m)))), rep)
+    return tuple(RankCluster(tuple(sorted(members, key=lambda m: natural_key(str(m))))
+                             if len(members) > 1 else (members[0],), rep)
                  for members, rep in groups)
 
 

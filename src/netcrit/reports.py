@@ -1,22 +1,28 @@
 """CSV writers and one reader for metrics, runs, comparison and sweep reports.
 
 Each CSV's columns are declared once, as a ``{column: type}`` table, and
-every file is written with ``_write`` and read back with ``read_csv`` from
-that table. ``csv.writer`` writes floats with repr(), so files round-trip
-exactly and identical runs produce byte-identical output. A ``bool`` cell is
-written as 0/1 and an id ``tuple`` as its ids joined with ';'.
+every file is read back with ``read_csv`` from that table. ``csv.writer``
+writes floats with repr(), so files round-trip exactly and identical runs
+produce byte-identical output. A ``bool`` cell is written as 0/1 and an id
+``tuple`` as its ids joined with ';'. Most files are written with ``_write``,
+through ``csv.writer``. The metrics files and ``timeseries.csv``, the
+largest, are formatted here row by row and streamed through ``_write_lines``,
+byte for byte what ``csv.writer`` writes for the same cells: a float as its
+repr(), an int as str() and a text cell through ``_field``.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import re
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .analysis import OutageImpact, RankingComparison
 from .metrics import RankCluster
 from .simulator import RunRecord, SimResult
-from .topology import Topology, natural_key
+from .topology import Topology, clip, natural_key
 
 NODE_METRICS_COLUMNS = {"node_id": str, "role": str, "betweenness": float,
                         "eccentricity": int, "eigenvector": float}
@@ -38,13 +44,39 @@ _FROM_TEXT = {bool: lambda text: bool(int(text)),
 
 
 def _write(path: str | Path, columns: Mapping[str, type], rows: Iterable[Sequence]) -> None:
-    """Write the header and one line per row, each cell converted by its column's type."""
+    """Write the header and one line per row, each cell converted by its column's
+    type; rows go to ``csv.writer`` as they are when no column converts."""
     to_text = [_TO_TEXT.get(kind) for kind in columns.values()]
+    if any(to_text):
+        rows = ([cell if f is None else f(cell) for f, cell in zip(to_text, row)]
+                for row in rows)
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
         w = csv.writer(handle, lineterminator="\n")
         w.writerow(columns)
-        w.writerows([cell if f is None else f(cell) for f, cell in zip(to_text, row)]
-                    for row in rows)
+        w.writerows(rows)
+
+
+def _write_lines(path: str | Path, columns: Mapping[str, type], lines: Iterable[str]) -> None:
+    """Write the header and ``lines``, rows already formatted as ``csv.writer``
+    writes them, as they come."""
+    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+        handle.write(",".join(columns) + "\n")
+        handle.writelines(lines)
+
+
+# Text that csv.writer writes as it is: no delimiter, quote, line break or
+# NUL (which Python 3.10's csv.writer refuses).
+_PLAIN = re.compile(r'[^,"\r\n\x00]*')
+
+
+def _field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it as one of several cells: as it is
+    unless it needs quoting. Node ids match ``[A-Za-z0-9_]+`` and never do."""
+    if _PLAIN.fullmatch(text):
+        return text
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
 
 
 def read_csv(path: str | Path, columns: Mapping[str, type]) -> list[dict]:
@@ -53,33 +85,53 @@ def read_csv(path: str | Path, columns: Mapping[str, type]) -> list[dict]:
     with Path(path).open(encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames != list(columns):
-            raise ValueError(f"{path}: header {reader.fieldnames}, expected {list(columns)}")
+            raise ValueError(f"{clip(str(path))}: header {clip(str(reader.fieldnames))}, "
+                             f"expected {list(columns)}")
         return [{name: f(rec[name]) for name, f in parse.items()} for rec in reader]
-
-
-def _member_ids(members) -> tuple[str, ...]:
-    """Cluster members as ids, in their ranking's order; an edge (u, v) becomes "u-v"."""
-    return tuple(m if isinstance(m, str) else "-".join(m) for m in members)
 
 
 def write_node_metrics(path: str | Path, t: Topology, betweenness, eccentricity,
                        eigenvector) -> None:
-    _write(path, NODE_METRICS_COLUMNS,
-           ((nid, role.value, betweenness[nid], eccentricity[nid], eigenvector[nid])
-            for nid, role in t.nodes))
+    """One row per node, in declaration order."""
+    _write_lines(path, NODE_METRICS_COLUMNS,
+                 (f"{_field(nid)},{role.value},{betweenness[nid]!r},{eccentricity[nid]},"
+                  f"{eigenvector[nid]!r}\n" for nid, role in t.nodes))
 
 
 def write_edge_metrics(path: str | Path, edge_values: Mapping[tuple[str, str], float]) -> None:
-    edges = sorted(edge_values, key=lambda e: (natural_key(e[0]), natural_key(e[1])))
-    _write(path, EDGE_METRICS_COLUMNS, ((u, v, edge_values[(u, v)]) for u, v in edges))
+    """One row per edge, in natural order of (u, v); each node's sort key and
+    text are built once."""
+    nodes = {v for edge in edge_values for v in edge}
+    order = {v: natural_key(v) for v in nodes}
+    text = {v: _field(v) for v in nodes}
+    _write_lines(path, EDGE_METRICS_COLUMNS,
+                 (f"{text[u]},{text[v]},{edge_values[u, v]!r}\n"
+                  for u, v in sorted(edge_values, key=lambda e: (order[e[0]], order[e[1]]))))
+
+
+def ranking_ids(rankings: Mapping[str, Sequence[RankCluster]]
+                ) -> dict[str, Sequence[RankCluster]]:
+    """``rankings`` with every member an id: an edge (u, v) becomes "u-v".
+
+    ``write_rankings`` and ``cluster_summary_text`` take the result, so each
+    edge's id is built once for both. A ranking whose members are all ids is
+    kept as it is."""
+    return {metric: ranking if all(isinstance(m, str) for c in ranking for m in c.members)
+            else tuple(RankCluster(tuple(m if isinstance(m, str) else "-".join(m)
+                                         for m in c.members), c.value) for c in ranking)
+            for metric, ranking in rankings.items()}
 
 
 def write_rankings(path: str | Path, rankings: Mapping[str, Sequence[RankCluster]]) -> None:
-    """One row per (metric, cluster)."""
-    _write(path, RANKINGS_COLUMNS,
-           ((metric, rank, _member_ids(cluster.members), cluster.value)
-            for metric, ranking in rankings.items()
-            for rank, cluster in enumerate(ranking, start=1)))
+    """One row per (metric, cluster) of ``ranking_ids``' result."""
+
+    def rows():
+        for metric, ranking in rankings.items():
+            name = _field(metric)
+            for rank, cluster in enumerate(ranking, start=1):
+                yield f"{name},{rank},{_field(_ID_SEP.join(cluster.members))},{cluster.value!r}\n"
+
+    _write_lines(path, RANKINGS_COLUMNS, rows())
 
 
 def write_timeseries(path: str | Path, result: SimResult) -> None:
@@ -93,8 +145,8 @@ def write_timeseries(path: str | Path, result: SimResult) -> None:
     ``write``.
     """
     time_text = [f",{t!r}," for t in result.tick_times]
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(TIMESERIES_COLUMNS) + "\n")
+
+    def router_rows():
         for router, delays in result.tick_delays.items():
             lines = []
             append = lines.append
@@ -104,7 +156,9 @@ def write_timeseries(path: str | Path, result: SimResult) -> None:
                     last = delay_s
                     dt = f"{delay_s!r}\n"
                 append(f"{router}{tt}{dt}")
-            handle.write("".join(lines))
+            yield "".join(lines)
+
+    _write_lines(path, TIMESERIES_COLUMNS, router_rows())
 
 
 def write_summary(path: str | Path, result: RunRecord) -> None:
@@ -139,15 +193,16 @@ def write_attack_sweep(path: str | Path, impacts: Sequence[OutageImpact]) -> Non
 
 
 def cluster_summary_text(title: str, rankings: Mapping[str, Sequence[RankCluster]]) -> str:
-    """Human-readable cluster table: one line per rank, tied members in parens."""
+    """Human-readable cluster table of ``ranking_ids``' result: one line per
+    rank, tied members in parens."""
     lines = [title]
     width = max(len(m) for m in rankings) + 2
     for metric, ranking in rankings.items():
+        name = f"{metric:<{width}}"
         for rank, cluster in enumerate(ranking, start=1):
-            members = ", ".join(_member_ids(cluster.members))
             value = cluster.value
             value_text = str(int(value)) if float(value).is_integer() else f"{value:.4f}"
-            lines.append(f"{metric:<{width}} {rank:<5} ({members})  {value_text}")
+            lines.append(f"{name} {rank:<5} ({', '.join(cluster.members)})  {value_text}")
     return "\n".join(lines) + "\n"
 
 

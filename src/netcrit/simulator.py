@@ -93,7 +93,11 @@ class SimConfig:
             if not _positive_finite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite and > 0")
         if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seeds must be unsigned 64-bit integers, got {self.seed}")
+            try:
+                shown = clip(str(self.seed))
+            except ValueError:  # str() refuses an int past sys.get_int_max_str_digits()
+                shown = f"an integer of {self.seed.bit_length()} bits"
+            raise ValueError(f"seeds must be unsigned 64-bit integers, got {shown}")
         if self.ttl < 0:
             raise ValueError("ttl must be >= 0 (0 = unlimited)")
 

@@ -66,6 +66,20 @@ class Topology:
     edges: tuple[tuple[str, str], ...]
 
     @cached_property
+    def _hash(self) -> int:
+        return hash((self.name, self.nodes, self.edges))
+
+    def __hash__(self) -> int:
+        """The hash the dataclass would compute, computed once: each metric's
+        memo looks the topology up by it."""
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        # A string's hash differs between processes, so a pickled topology
+        # leaves its hash behind.
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+    @cached_property
     def roles(self) -> dict[str, NodeRole]:
         return {nid: role for nid, role in self.nodes}
 
@@ -83,7 +97,7 @@ class Topology:
         for nid, role in self.nodes:
             if role is NodeRole.SINK:
                 return nid
-        raise TopologyError(f"topology '{self.name}' has no sink")
+        raise TopologyError(f"topology '{clip(self.name)}' has no sink")
 
     @property
     def node_ids(self) -> tuple[str, ...]:
@@ -128,7 +142,7 @@ def validate_topology(t: Topology) -> None:
     if not t.router_ids:
         raise TopologyError("no router declared (at least one required)")
 
-    seen_edges: set[tuple[str, str]] = set()
+    seen_edges: set[tuple[str, str]] = set()  # each edge as a plain ordered pair
     for u, v in t.edges:
         if u == v:
             raise TopologyError(f"self-loop on node '{clip(u)}'")
@@ -136,10 +150,11 @@ def validate_topology(t: Topology) -> None:
             if end not in roles:
                 raise TopologyError(f"edge {clip(u)}-{clip(v)} references undeclared "
                                     f"node '{clip(end)}'")
-        key = edge_key(u, v)
-        if key in seen_edges:
+        pair = (u, v) if u < v else (v, u)
+        if pair in seen_edges:
+            key = edge_key(u, v)
             raise TopologyError(f"duplicate edge {clip(key[0])}-{clip(key[1])}")
-        seen_edges.add(key)
+        seen_edges.add(pair)
 
     adjacency = t.adjacency
     for gid in t.generator_ids:
@@ -194,6 +209,7 @@ def parse_topology(text: str, name: str = "topology") -> Topology:
     """
     nodes: list[tuple[str, NodeRole]] = []
     edges: list[tuple[str, str]] = []
+    declared: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -209,11 +225,13 @@ def parse_topology(text: str, name: str = "topology") -> Topology:
             if role is None:
                 raise TopologyError(f"line {lineno}: unknown role '{clip(role_name)}'")
             nodes.append((nid, role))
+            declared.add(nid)
         elif parts[0] == "edge":
             if len(parts) != 3:
                 raise TopologyError(f"line {lineno}: expected 'edge <id> <id>'")
             for end in parts[1:]:
-                _check_node_id(end, f"line {lineno}: ")
+                if end not in declared:  # a declared id was checked on its node line
+                    _check_node_id(end, f"line {lineno}: ")
             edges.append((parts[1], parts[2]))
         else:
             raise TopologyError(f"line {lineno}: unknown directive '{clip(parts[0])}'")

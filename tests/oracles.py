@@ -10,9 +10,12 @@ running mean delays, and the service times a busy router starts, from a
 run's event trace. These stay deliberately naive and separate from the
 package code paths.
 
-``reference_shortest_paths`` is the one exception: the plain queue-based
-Brandes pass, one source at a time, that fixes the order of every float
-addition. Both package passes must return exactly its sums.
+Two are exceptions, references that fix the package's float operations
+rather than check them independently. ``reference_shortest_paths`` is the
+plain queue-based Brandes pass, one source at a time, that fixes the order
+of every float addition: both package passes must return exactly its sums.
+``reference_eigenvector`` is the power iteration written out with numpy's
+own norm and max: the package must return exactly its floats.
 """
 
 from __future__ import annotations
@@ -134,6 +137,38 @@ def dense_dominant_eigenvector(adj):
     x = np.abs(x)  # connected graph: entries share one sign, strip roundoff
     x /= np.linalg.norm(x)
     return {v: float(x[idx[v]]) for v in nodes}
+
+
+def reference_eigenvector(t: Topology, tol: float = 1e-9, max_iter: int = 10_000):
+    """The power iteration of ``netcrit.metrics.eigenvector_centrality``
+    written out with ``np.linalg.norm`` and ``np.max``, on A + I built densely
+    from ``t.adjacency``; None if it does not converge.
+
+    Every product is the same BLAS call as the package's, so its floats must
+    equal the package's exactly under any BLAS kernel.
+    """
+    adj = t.adjacency
+    nodes = list(adj)
+    idx = {v: i for i, v in enumerate(nodes)}
+    n = len(nodes)
+    b = np.zeros((n, n))
+    for v in nodes:
+        for w in adj[v]:
+            b[idx[v], idx[w]] = 1.0
+    for i in range(n):
+        b[i, i] += 1.0
+    x = np.full(n, 1.0 / np.sqrt(n))
+    for _ in range(max_iter):
+        y = b @ x
+        y /= np.linalg.norm(y)
+        diff = float(np.max(np.abs(y - x)))
+        x = y
+        if diff < tol:
+            bx = b @ x
+            lam = float(x @ bx)
+            if float(np.max(np.abs(bx - lam * x))) <= 10.0 * tol:
+                return dict(zip(nodes, x.tolist()))
+    return None
 
 
 def reference_shortest_paths(t: Topology):

@@ -131,6 +131,15 @@ class TestEccentricity:
         assert betweenness_centrality(t) == {"S": 0.0, "R": 0.0, "G": 0.0}
         assert edge_betweenness(t) == {("R", "S"): 1 / 3}
 
+    def test_unreachable_node_id_is_cut(self):
+        v = "v" * 300
+        t = Topology(name="split", nodes=((v, NodeRole.ROUTER), ("w", NodeRole.ROUTER)),
+                     edges=())
+        with pytest.raises(ValueError) as err:
+            eccentricity_centrality(t)
+        assert str(err.value) == (f"eccentricity undefined: node {'v' * 24}... "
+                                  "cannot reach every node")
+
     def test_matches_floyd_warshall(self):
         rng = random.Random(7)
         for _ in range(25):
@@ -193,6 +202,18 @@ class TestEigenvector:
         t = builtin_case(3)
         rc = rank_with_ties(eigenvector_centrality(t), subset=t.router_ids)
         assert [c.members for c in rc] == [("6", "10"), ("2", "14"), ("1",)]
+
+    @pytest.mark.parametrize("t", [builtin_case(1), builtin_case(2), builtin_case(3),
+                                   parse_topology(chorded_ring_text(250), name="ring250")],
+                             ids=lambda t: t.name)
+    def test_matches_reference_iteration_exactly(self, t):
+        # Not just close: every float equal, under whatever BLAS kernel runs.
+        assert eigenvector_centrality(t) == oracles.reference_eigenvector(t)
+
+    @given(topologies())
+    @settings(max_examples=40)
+    def test_matches_reference_iteration_on_generated_topologies(self, t):
+        assert eigenvector_centrality(t) == oracles.reference_eigenvector(t)
 
     @given(topologies())
     @settings(max_examples=40)

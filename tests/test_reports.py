@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from conftest import MM1_TEXT
 from netcrit import reports
+from netcrit.metrics import RankCluster
 from netcrit.simulator import Scenario, SimConfig, run
-from netcrit.topology import parse_topology
+from netcrit.topology import NodeRole, Topology, natural_key, parse_topology
 
 BASE = run(parse_topology(MM1_TEXT, name="mm1"), SimConfig(duration=5.0, seed=1),
            Scenario.stable())
@@ -72,6 +73,70 @@ def test_real_run_reads_back_exactly(tmp_path):
                for x in column)
 
 
+def csv_writer_text(columns, rows) -> str:
+    """What csv.writer writes for the header and these cells."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(columns)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+# Ids as a validated topology has them, and now and then text that
+# csv.writer must quote, which the metrics writers hand to it. No NUL:
+# Python 3.10's csv.writer refuses it, and so do the writers there.
+ids = st.one_of(router_ids, router_ids,
+                st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00")))
+values = st.one_of(st.sampled_from(SPECIAL + [1e-300, 1e300, 2.5e-308]), st.floats())
+
+
+@given(st.lists(st.tuples(ids, st.sampled_from(NodeRole), values, st.integers(), values),
+                max_size=20, unique_by=lambda row: row[0]))
+@settings(max_examples=100)
+def test_write_node_metrics_matches_csv_writer(tmp_path_factory, rows):
+    t = Topology("t", nodes=tuple((nid, role) for nid, role, *_ in rows), edges=())
+    path = tmp_path_factory.mktemp("metrics") / "node_metrics.csv"
+    reports.write_node_metrics(path, t, *({row[0]: row[i] for row in rows} for i in (2, 3, 4)))
+    expected = [(nid, role.value, b, e, g) for nid, role, b, e, g in rows]
+    assert path.read_bytes() == \
+        csv_writer_text(reports.NODE_METRICS_COLUMNS, expected).encode("utf-8")
+
+
+@given(st.dictionaries(st.tuples(ids, ids), values, max_size=20))
+@settings(max_examples=100)
+def test_write_edge_metrics_matches_csv_writer(tmp_path_factory, edge_values):
+    path = tmp_path_factory.mktemp("metrics") / "edge_metrics.csv"
+    reports.write_edge_metrics(path, edge_values)
+    edges = sorted(edge_values, key=lambda e: (natural_key(e[0]), natural_key(e[1])))
+    expected = [(u, v, edge_values[u, v]) for u, v in edges]
+    assert path.read_bytes() == \
+        csv_writer_text(reports.EDGE_METRICS_COLUMNS, expected).encode("utf-8")
+
+
+# A ranking's clusters: one to three tied members each, node ids or edges.
+clusters = st.lists(st.tuples(st.lists(st.one_of(ids, st.tuples(ids, ids)), min_size=1,
+                                       max_size=3).map(tuple), values),
+                    min_size=1, max_size=6)
+
+
+@given(st.dictionaries(st.sampled_from(["betweenness", "eccentricity", "eigenvector",
+                                        "edge_betweenness"]), clusters, min_size=1))
+@example({"eccentricity": [(("1", "10"), 3.0), (("2",), 4.0)],
+          "edge_betweenness": [((("1", "2"), ("2", "10")), -0.0), ((("3", "4"),), 5e-324)]})
+@settings(max_examples=100)
+def test_write_rankings_matches_csv_writer(tmp_path_factory, drawn):
+    rankings = {metric: tuple(RankCluster(members, value) for members, value in ranking)
+                for metric, ranking in drawn.items()}
+    path = tmp_path_factory.mktemp("metrics") / "rankings.csv"
+    reports.write_rankings(path, reports.ranking_ids(rankings))
+    expected = [(metric, rank, ";".join(m if isinstance(m, str) else "-".join(m)
+                                        for m in members), value)
+                for metric, ranking in drawn.items()
+                for rank, (members, value) in enumerate(ranking, start=1)]
+    assert path.read_bytes() == \
+        csv_writer_text(reports.RANKINGS_COLUMNS, expected).encode("utf-8")
+
+
 TABLES = sorted(name for name in dir(reports) if name.endswith("_COLUMNS"))
 CELLS = {
     str: router_ids,
@@ -107,3 +172,15 @@ def test_read_csv_rejects_another_files_header(tmp_path):
     reports.write_summary(path, BASE)
     with pytest.raises(ValueError, match="header"):
         reports.read_csv(path, reports.ACCOUNTING_COLUMNS)
+
+
+def test_read_csv_header_message_is_cut(tmp_path):
+    # Both the path and the header it read are input.
+    path = tmp_path / ("p" * 200 + ".csv")
+    path.write_text(",".join(f"column{i}" for i in range(500)) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        reports.read_csv(path, reports.ACCOUNTING_COLUMNS)
+    message = str(err.value)
+    assert f": header ['column0', 'column1', '..., expected {list(reports.ACCOUNTING_COLUMNS)}" \
+        in message
+    assert len(message) < 200

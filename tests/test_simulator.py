@@ -235,6 +235,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
 
+    @pytest.mark.parametrize("seed, shown", [
+        (2**64, str(2**64)),
+        (10**30, "1" + "0" * 23 + "..."),
+        # str() of this int raises, so the message must not build it.
+        (10**5000, "an integer of 16610 bits"),
+    ], ids=["20-digits", "31-digits", "5001-digits"])
+    def test_out_of_range_seed_is_cut(self, seed, shown):
+        with pytest.raises(ValueError) as err:
+            SimConfig(duration=10.0, seed=seed)
+        assert str(err.value) == f"seeds must be unsigned 64-bit integers, got {shown}"
+
     @pytest.mark.parametrize("field", ["duration", "mean_interarrival",
                                        "router_service_rate", "monitor_interval"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])

@@ -1,3 +1,4 @@
+import pickle
 import re
 
 import pytest
@@ -108,6 +109,10 @@ class TestParse:
         t = Topology("nosink", nodes=(("R", NodeRole.ROUTER),), edges=())
         with pytest.raises(TopologyError, match="^topology 'nosink' has no sink$"):
             t.sink_id
+        t = Topology("n" * 300, nodes=(("R", NodeRole.ROUTER),), edges=())
+        with pytest.raises(TopologyError) as err:
+            t.sink_id
+        assert str(err.value) == f"topology '{'n' * 24}...' has no sink"
 
     @pytest.mark.parametrize("bad", BAD_IDS)
     def test_node_id_charset_enforced_with_line(self, bad):
@@ -345,3 +350,13 @@ class TestRoundTrip:
             t = builtin_case(case_id)
             again = parse_topology(serialize_topology(t), name=t.name)
             assert again == t
+
+    def test_hash_is_computed_once_and_not_pickled(self):
+        t = builtin_case(2)
+        again = parse_topology(serialize_topology(t), name=t.name)
+        assert hash(again) == hash(t) == hash((t.name, t.nodes, t.edges))
+        assert "_hash" in vars(t)
+        # Another process hashes strings differently, so a pickled topology
+        # must hash itself afresh there.
+        copy = pickle.loads(pickle.dumps(t))
+        assert "_hash" not in vars(copy) and copy == t and hash(copy) == hash(t)

@@ -202,6 +202,17 @@ def _core_edge_keys(t: Topology, edges) -> list[tuple[str, str]]:
             if roles[e[0]] is not NodeRole.GENERATOR and roles[e[1]] is not NodeRole.GENERATOR]
 
 
+def _core_edge_ids(t: Topology, edges) -> dict[str, float]:
+    """``edges``' values on the infrastructure links, keyed by the id "u-v"
+    that rankings and reports give an edge, built once per edge.
+
+    Ranked by id, the links keep the order their keys (u, v) would give:
+    ``rank_with_ties`` orders equal values and tied members by their text,
+    and "u-v" sorts as ``str((u, v))`` does, because "-" and "'" sort before
+    every character of a node id."""
+    return {f"{u}-{v}": edges[u, v] for u, v in _core_edge_keys(t, edges)}
+
+
 def _node_metrics(t: Topology) -> dict[str, dict[str, float]]:
     """The three node metrics of every node, each computed once, in report order."""
     return {
@@ -213,7 +224,8 @@ def _node_metrics(t: Topology) -> dict[str, dict[str, float]]:
 
 def _rankings(node_metrics, routers, edge_values, edge_keys, tie_epsilon: float) -> dict:
     """Rank ``routers`` by each node metric (a low eccentricity marks a
-    critical node) and ``edge_keys`` by ``edge_values`` as "edge_betweenness"."""
+    critical node) and ``edge_keys`` (all of them if None) by ``edge_values``
+    as "edge_betweenness"."""
     rankings = {
         metric: rank_with_ties(values,
                                Direction.LOWER_IS_CRITICAL if metric == "eccentricity"
@@ -230,8 +242,7 @@ def cmd_metrics(args) -> int:
     t = _load(args)
     nodes = _node_metrics(t)
     edges = edge_betweenness(t)
-    rankings = reports.ranking_ids(_rankings(nodes, t.router_ids, edges,
-                                             _core_edge_keys(t, edges), args.tie_epsilon))
+    rankings = _rankings(nodes, t.router_ids, _core_edge_ids(t, edges), None, args.tie_epsilon)
 
     out = Path(args.out) / "metrics"
     out.mkdir(parents=True, exist_ok=True)
@@ -399,11 +410,9 @@ def cmd_case_study(args) -> int:
     )
     manifest = RunManifest(topology=t, scenarios=scenarios, seeds=parse_seeds(args.seeds),
                            duration=args.duration, out_dir=Path(args.out))
-    edges = edge_betweenness(t)
-    rankings = _rankings(_node_metrics(t), t.router_ids, edges, _core_edge_keys(t, edges),
-                         TIE_EPSILON)
-    print(reports.cluster_summary_text(f"{t.name}: centrality rankings",
-                                       reports.ranking_ids(rankings)))
+    rankings = _rankings(_node_metrics(t), t.router_ids, _core_edge_ids(t, edge_betweenness(t)),
+                         None, TIE_EPSILON)
+    print(reports.cluster_summary_text(f"{t.name}: centrality rankings", rankings))
 
     results = execute_manifest(manifest, echo=_echo_stderr)
     routers = sorted(t.router_ids, key=natural_key)

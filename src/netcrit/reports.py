@@ -109,21 +109,8 @@ def write_edge_metrics(path: str | Path, edge_values: Mapping[tuple[str, str], f
                   for u, v in sorted(edge_values, key=lambda e: (order[e[0]], order[e[1]]))))
 
 
-def ranking_ids(rankings: Mapping[str, Sequence[RankCluster]]
-                ) -> dict[str, Sequence[RankCluster]]:
-    """``rankings`` with every member an id: an edge (u, v) becomes "u-v".
-
-    ``write_rankings`` and ``cluster_summary_text`` take the result, so each
-    edge's id is built once for both. A ranking whose members are all ids is
-    kept as it is."""
-    return {metric: ranking if all(isinstance(m, str) for c in ranking for m in c.members)
-            else tuple(RankCluster(tuple(m if isinstance(m, str) else "-".join(m)
-                                         for m in c.members), c.value) for c in ranking)
-            for metric, ranking in rankings.items()}
-
-
 def write_rankings(path: str | Path, rankings: Mapping[str, Sequence[RankCluster]]) -> None:
-    """One row per (metric, cluster) of ``ranking_ids``' result."""
+    """One row per (metric, cluster); every member is an id."""
 
     def rows():
         for metric, ranking in rankings.items():
@@ -193,8 +180,8 @@ def write_attack_sweep(path: str | Path, impacts: Sequence[OutageImpact]) -> Non
 
 
 def cluster_summary_text(title: str, rankings: Mapping[str, Sequence[RankCluster]]) -> str:
-    """Human-readable cluster table of ``ranking_ids``' result: one line per
-    rank, tied members in parens."""
+    """Human-readable cluster table, every member an id: one line per rank,
+    tied members in parens."""
     lines = [title]
     width = max(len(m) for m in rankings) + 2
     for metric, ranking in rankings.items():

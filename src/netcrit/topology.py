@@ -189,10 +189,12 @@ _ROLES_BY_NAME = {r.value: r for r in NodeRole}
 _NODE_ID = re.compile(r"[A-Za-z0-9_]+")
 
 
-def _check_node_id(nid: str, where: str = "") -> None:
+def _check_node_id(nid: str, lineno: int | None = None) -> None:
     """Node ids are ASCII letters, digits and underscores, so they are safe as
-    directory names and never clash with the edge, scenario or CSV syntax."""
+    directory names and never clash with the edge, scenario or CSV syntax.
+    The message names ``lineno`` if given."""
     if not _NODE_ID.fullmatch(nid):
+        where = "" if lineno is None else f"line {lineno}: "
         raise TopologyError(f"{where}node id '{clip(nid)}' must use only [A-Za-z0-9_]")
 
 
@@ -212,15 +214,14 @@ def parse_topology(text: str, name: str = "topology") -> Topology:
     declared: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if parts[0] == "node":
             if len(parts) != 3:
                 raise TopologyError(f"line {lineno}: expected 'node <id> <role>'")
             nid, role_name = parts[1], parts[2]
-            _check_node_id(nid, f"line {lineno}: ")
+            _check_node_id(nid, lineno)
             role = _ROLES_BY_NAME.get(role_name)
             if role is None:
                 raise TopologyError(f"line {lineno}: unknown role '{clip(role_name)}'")
@@ -229,10 +230,13 @@ def parse_topology(text: str, name: str = "topology") -> Topology:
         elif parts[0] == "edge":
             if len(parts) != 3:
                 raise TopologyError(f"line {lineno}: expected 'edge <id> <id>'")
-            for end in parts[1:]:
-                if end not in declared:  # a declared id was checked on its node line
-                    _check_node_id(end, f"line {lineno}: ")
-            edges.append((parts[1], parts[2]))
+            u, v = parts[1], parts[2]
+            # A declared id was checked on its node line.
+            if u not in declared:
+                _check_node_id(u, lineno)
+            if v not in declared:
+                _check_node_id(v, lineno)
+            edges.append((u, v))
         else:
             raise TopologyError(f"line {lineno}: unknown directive '{clip(parts[0])}'")
 

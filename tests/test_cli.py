@@ -2,6 +2,7 @@ import dataclasses
 import filecmp
 import gc
 import os
+import string
 import subprocess
 import sys
 import tracemalloc
@@ -17,9 +18,13 @@ import netcrit
 from netcrit import cli, reports, simulator
 from netcrit.analysis import mean_final_delays, outage_impacts, rank_by_delay
 from netcrit.cli import MAX_SEEDS, RunManifest, main
-from netcrit.metrics import PowerIterationError
+from netcrit.metrics import PowerIterationError, RankCluster, edge_betweenness, rank_with_ties
 from netcrit.simulator import MAX_MONITOR_SAMPLES, RunRecord, Scenario, run
-from netcrit.topology import builtin_case, serialize_topology
+from netcrit.topology import NodeRole, builtin_case, serialize_topology
+
+
+# Node ids as a validated topology has them.
+NODE_IDS = st.text(string.ascii_letters + string.digits + "_", min_size=1, max_size=4)
 
 
 def run_cli(*argv) -> int:
@@ -67,6 +72,26 @@ class TestMetricsCommand:
                                            reports.EDGE_METRICS_COLUMNS)}
         assert ("6", "10") in edges
         assert "(6, 10)" in capsys.readouterr().out
+
+    @given(st.dictionaries(st.tuples(NODE_IDS, NODE_IDS), st.sampled_from([0.0, -0.0, 0.5, 1.0]),
+                           min_size=1, max_size=12))
+    @settings(max_examples=200)
+    def test_edge_ids_rank_as_their_keys(self, values):
+        # The rankings rank each link by its id "u-v"; ties and tied members
+        # must come out in the order the key (u, v) gives them.
+        by_key = rank_with_ties(values)
+        by_id = rank_with_ties({f"{u}-{v}": x for (u, v), x in values.items()})
+        assert by_id == tuple(RankCluster(tuple(f"{u}-{v}" for u, v in c.members), c.value)
+                              for c in by_key)
+
+    @given(topologies(max_routers=8, multihome_prob=0.3))
+    @settings(max_examples=40)
+    def test_core_edge_ids_are_the_infrastructure_links(self, t):
+        edges = edge_betweenness(t)
+        ids = cli._core_edge_ids(t, edges)
+        roles = t.roles
+        assert ids == {f"{u}-{v}": x for (u, v), x in edges.items()
+                       if NodeRole.GENERATOR not in (roles[u], roles[v])}
 
     def test_missing_topology_file(self, tmp_path, capsys):
         rc = run_cli("metrics", "--topology", str(tmp_path / "missing.topo"))

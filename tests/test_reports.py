@@ -113,24 +113,23 @@ def test_write_edge_metrics_matches_csv_writer(tmp_path_factory, edge_values):
         csv_writer_text(reports.EDGE_METRICS_COLUMNS, expected).encode("utf-8")
 
 
-# A ranking's clusters: one to three tied members each, node ids or edges.
-clusters = st.lists(st.tuples(st.lists(st.one_of(ids, st.tuples(ids, ids)), min_size=1,
-                                       max_size=3).map(tuple), values),
+# A ranking's clusters: one to three tied ids each, of nodes or of edges ("u-v").
+member_ids = st.one_of(ids, st.builds(lambda u, v: f"{u}-{v}", router_ids, router_ids))
+clusters = st.lists(st.tuples(st.lists(member_ids, min_size=1, max_size=3).map(tuple), values),
                     min_size=1, max_size=6)
 
 
 @given(st.dictionaries(st.sampled_from(["betweenness", "eccentricity", "eigenvector",
                                         "edge_betweenness"]), clusters, min_size=1))
 @example({"eccentricity": [(("1", "10"), 3.0), (("2",), 4.0)],
-          "edge_betweenness": [((("1", "2"), ("2", "10")), -0.0), ((("3", "4"),), 5e-324)]})
+          "edge_betweenness": [(("1-2", "2-10"), -0.0), (("3-4",), 5e-324)]})
 @settings(max_examples=100)
 def test_write_rankings_matches_csv_writer(tmp_path_factory, drawn):
     rankings = {metric: tuple(RankCluster(members, value) for members, value in ranking)
                 for metric, ranking in drawn.items()}
     path = tmp_path_factory.mktemp("metrics") / "rankings.csv"
-    reports.write_rankings(path, reports.ranking_ids(rankings))
-    expected = [(metric, rank, ";".join(m if isinstance(m, str) else "-".join(m)
-                                        for m in members), value)
+    reports.write_rankings(path, rankings)
+    expected = [(metric, rank, ";".join(members), value)
                 for metric, ranking in drawn.items()
                 for rank, (members, value) in enumerate(ranking, start=1)]
     assert path.read_bytes() == \

@@ -67,6 +67,10 @@ _SEED = re.compile(r"-?[0-9]+")
 # it is rejected before int() has to parse it.
 MAX_SEED_DIGITS = 20
 
+# Most bytes of a run directory's name, a scenario label with ":" as "-":
+# common file systems take no longer file name.
+MAX_RUN_DIR_BYTES = 255
+
 # Disturbance sets studied per case: DoS on the simulation-critical routers,
 # plus the DDoS pairs/triples tied to the top-ranked edges.
 CASE_SCENARIOS = {
@@ -222,10 +226,10 @@ def _node_metrics(t: Topology) -> dict[str, dict[str, float]]:
     }
 
 
-def _rankings(node_metrics, routers, edge_values, edge_keys, tie_epsilon: float) -> dict:
+def _rankings(node_metrics, routers, edge_values, tie_epsilon: float) -> dict:
     """Rank ``routers`` by each node metric (a low eccentricity marks a
-    critical node) and ``edge_keys`` (all of them if None) by ``edge_values``
-    as "edge_betweenness"."""
+    critical node) and the keys of ``edge_values`` by their values as
+    "edge_betweenness"."""
     rankings = {
         metric: rank_with_ties(values,
                                Direction.LOWER_IS_CRITICAL if metric == "eccentricity"
@@ -234,7 +238,7 @@ def _rankings(node_metrics, routers, edge_values, edge_keys, tie_epsilon: float)
         for metric, values in node_metrics.items()
     }
     rankings["edge_betweenness"] = rank_with_ties(
-        edge_values, Direction.HIGHER_IS_CRITICAL, tie_epsilon, edge_keys)
+        edge_values, Direction.HIGHER_IS_CRITICAL, tie_epsilon)
     return rankings
 
 
@@ -242,7 +246,7 @@ def cmd_metrics(args) -> int:
     t = _load(args)
     nodes = _node_metrics(t)
     edges = edge_betweenness(t)
-    rankings = _rankings(nodes, t.router_ids, _core_edge_ids(t, edges), None, args.tie_epsilon)
+    rankings = _rankings(nodes, t.router_ids, _core_edge_ids(t, edges), args.tie_epsilon)
 
     out = Path(args.out) / "metrics"
     out.mkdir(parents=True, exist_ok=True)
@@ -262,9 +266,10 @@ class RunManifest:
 
     Building one checks the whole campaign before any run writes a file: it
     needs a scenario, distinct scenario labels (a label names its run
-    directories and its entry in ``execute_manifest``'s result) and distinct
-    seeds, builds each seed's ``SimConfig`` (seed bounds, parameters) and
-    calls ``check_run_inputs``, as ``run`` does.
+    directories and its entry in ``execute_manifest``'s result), each short
+    enough to name a directory, and distinct seeds, builds each seed's
+    ``SimConfig`` (seed bounds, parameters) and calls ``check_run_inputs``,
+    as ``run`` does.
     """
 
     topology: Topology
@@ -293,6 +298,9 @@ class RunManifest:
             config = self.config_for(seed)
         for scenario in self.scenarios:
             check_run_inputs(self.topology, config, scenario)
+            if len(_run_dir_name(scenario).encode()) > MAX_RUN_DIR_BYTES:
+                raise ValueError(f"scenario '{clip(scenario.label)}' names a run directory "
+                                 f"longer than {MAX_RUN_DIR_BYTES} bytes")
 
     def config_for(self, seed: int) -> SimConfig:
         return SimConfig(
@@ -303,6 +311,10 @@ class RunManifest:
             monitor_interval=self.monitor_interval,
             ttl=self.ttl,
         )
+
+
+def _run_dir_name(scenario: Scenario) -> str:
+    return scenario.label.replace(":", "-")
 
 
 def execute_manifest(manifest: RunManifest, echo=None) -> dict[str, list[RunRecord]]:
@@ -325,7 +337,7 @@ def _run_and_write(manifest: RunManifest, scenario: Scenario, seed: int, echo) -
     counts, and return its record. The full result is local to this call,
     so its tick columns are freed before the next run starts."""
     result = run(manifest.topology, manifest.config_for(seed), scenario)
-    run_dir = manifest.out_dir / "runs" / scenario.label.replace(":", "-") / str(seed)
+    run_dir = manifest.out_dir / "runs" / _run_dir_name(scenario) / str(seed)
     run_dir.mkdir(parents=True, exist_ok=True)
     reports.write_timeseries(run_dir / "timeseries.csv", result)
     reports.write_summary(run_dir / "summary.csv", result)
@@ -384,7 +396,7 @@ def cmd_compare(args) -> int:
         router: max((edges[e] for e in core if router in e), default=0.0)
         for router in universe
     }
-    metric_ranks = _rankings(nodes, universe, router_share, universe, args.tie_epsilon)
+    metric_ranks = _rankings(nodes, universe, router_share, args.tie_epsilon)
 
     results = execute_manifest(manifest, echo=_echo_stderr)[scenario.label]
     delay = rank_by_delay(results, t, tie_epsilon=args.tie_epsilon)
@@ -411,7 +423,7 @@ def cmd_case_study(args) -> int:
     manifest = RunManifest(topology=t, scenarios=scenarios, seeds=parse_seeds(args.seeds),
                            duration=args.duration, out_dir=Path(args.out))
     rankings = _rankings(_node_metrics(t), t.router_ids, _core_edge_ids(t, edge_betweenness(t)),
-                         None, TIE_EPSILON)
+                         TIE_EPSILON)
     print(reports.cluster_summary_text(f"{t.name}: centrality rankings", rankings))
 
     results = execute_manifest(manifest, echo=_echo_stderr)

@@ -372,6 +372,8 @@ def eigenvector_centrality(t: Topology) -> dict[str, float]:
     """
     nodes, _, _, owner, nbr, _ = _graph(t)
     n = len(nodes)
+    if not n:
+        return {}
     # Iterate on b = A + I: the shift leaves eigenvectors unchanged but
     # guarantees convergence on bipartite graphs (trees), where the raw
     # adjacency spectrum is symmetric and plain power iteration oscillates.

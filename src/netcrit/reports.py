@@ -1,14 +1,12 @@
 """CSV writers and one reader for metrics, runs, comparison and sweep reports.
 
 Each CSV's columns are declared once, as a ``{column: type}`` table, and
-every file is read back with ``read_csv`` from that table. ``csv.writer``
-writes floats with repr(), so files round-trip exactly and identical runs
-produce byte-identical output. A ``bool`` cell is written as 0/1 and an id
-``tuple`` as its ids joined with ';'. Most files are written with ``_write``,
-through ``csv.writer``. The metrics files and ``timeseries.csv``, the
-largest, are formatted here row by row and streamed through ``_write_lines``,
-byte for byte what ``csv.writer`` writes for the same cells: a float as its
-repr(), an int as str() and a text cell through ``_field``.
+every file is read back with ``read_csv`` from that table. Each writer
+formats its own rows and streams them through ``_write``, byte for byte
+what ``csv.writer`` writes for the same cells: a float as its repr(), so
+files round-trip exactly and identical runs produce byte-identical output,
+an int as str(), a ``bool`` as 0/1, and a text cell, or an id ``tuple``
+joined with ';', through ``_field``.
 """
 
 from __future__ import annotations
@@ -38,30 +36,8 @@ COMPARISON_COLUMNS = {"metric": str, "k": int, "overlap": float, "spearman": flo
 ATTACK_SWEEP_COLUMNS = {"rank": int, "router_id": str, "delivered": float,
                         "delivery_loss_pct": float, "survivor_delay_shift_s": float}
 _ID_SEP = ";"
-_TO_TEXT = {bool: int, tuple: _ID_SEP.join}
 _FROM_TEXT = {bool: lambda text: bool(int(text)),
               tuple: lambda text: tuple(text.split(_ID_SEP)) if text else ()}
-
-
-def _write(path: str | Path, columns: Mapping[str, type], rows: Iterable[Sequence]) -> None:
-    """Write the header and one line per row, each cell converted by its column's
-    type; rows go to ``csv.writer`` as they are when no column converts."""
-    to_text = [_TO_TEXT.get(kind) for kind in columns.values()]
-    if any(to_text):
-        rows = ([cell if f is None else f(cell) for f, cell in zip(to_text, row)]
-                for row in rows)
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        w = csv.writer(handle, lineterminator="\n")
-        w.writerow(columns)
-        w.writerows(rows)
-
-
-def _write_lines(path: str | Path, columns: Mapping[str, type], lines: Iterable[str]) -> None:
-    """Write the header and ``lines``, rows already formatted as ``csv.writer``
-    writes them, as they come."""
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(columns) + "\n")
-        handle.writelines(lines)
 
 
 # Text that csv.writer writes as it is: no delimiter, quote, line break or
@@ -79,6 +55,14 @@ def _field(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
+def _write(path: str | Path, columns: Mapping[str, type], lines: Iterable[str]) -> None:
+    """Write the header and ``lines``, rows already formatted as ``csv.writer``
+    writes them, as they come."""
+    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+        handle.write(",".join(map(_field, columns)) + "\n")
+        handle.writelines(lines)
+
+
 def read_csv(path: str | Path, columns: Mapping[str, type]) -> list[dict]:
     """One dict per row of a file written here, each cell parsed by its column's type."""
     parse = {name: _FROM_TEXT.get(kind, kind) for name, kind in columns.items()}
@@ -93,9 +77,9 @@ def read_csv(path: str | Path, columns: Mapping[str, type]) -> list[dict]:
 def write_node_metrics(path: str | Path, t: Topology, betweenness, eccentricity,
                        eigenvector) -> None:
     """One row per node, in declaration order."""
-    _write_lines(path, NODE_METRICS_COLUMNS,
-                 (f"{_field(nid)},{role.value},{betweenness[nid]!r},{eccentricity[nid]},"
-                  f"{eigenvector[nid]!r}\n" for nid, role in t.nodes))
+    _write(path, NODE_METRICS_COLUMNS,
+           (f"{_field(nid)},{role.value},{betweenness[nid]!r},{eccentricity[nid]},"
+            f"{eigenvector[nid]!r}\n" for nid, role in t.nodes))
 
 
 def write_edge_metrics(path: str | Path, edge_values: Mapping[tuple[str, str], float]) -> None:
@@ -104,9 +88,9 @@ def write_edge_metrics(path: str | Path, edge_values: Mapping[tuple[str, str], f
     nodes = {v for edge in edge_values for v in edge}
     order = {v: natural_key(v) for v in nodes}
     text = {v: _field(v) for v in nodes}
-    _write_lines(path, EDGE_METRICS_COLUMNS,
-                 (f"{text[u]},{text[v]},{edge_values[u, v]!r}\n"
-                  for u, v in sorted(edge_values, key=lambda e: (order[e[0]], order[e[1]]))))
+    _write(path, EDGE_METRICS_COLUMNS,
+           (f"{text[u]},{text[v]},{edge_values[u, v]!r}\n"
+            for u, v in sorted(edge_values, key=lambda e: (order[e[0]], order[e[1]]))))
 
 
 def write_rankings(path: str | Path, rankings: Mapping[str, Sequence[RankCluster]]) -> None:
@@ -118,7 +102,7 @@ def write_rankings(path: str | Path, rankings: Mapping[str, Sequence[RankCluster
             for rank, cluster in enumerate(ranking, start=1):
                 yield f"{name},{rank},{_field(_ID_SEP.join(cluster.members))},{cluster.value!r}\n"
 
-    _write_lines(path, RANKINGS_COLUMNS, rows())
+    _write(path, RANKINGS_COLUMNS, rows())
 
 
 def write_timeseries(path: str | Path, result: SimResult) -> None:
@@ -145,24 +129,25 @@ def write_timeseries(path: str | Path, result: SimResult) -> None:
                 append(f"{router}{tt}{dt}")
             yield "".join(lines)
 
-    _write_lines(path, TIMESERIES_COLUMNS, router_rows())
+    _write(path, TIMESERIES_COLUMNS, router_rows())
 
 
 def write_summary(path: str | Path, result: RunRecord) -> None:
     _write(path, SUMMARY_COLUMNS,
-           ((router, rs.final_delay, rs.forwarded, rs.dropped_attack, rs.attacked,
-             rs.sink_adjacent) for router, rs in result.routers.items()))
+           (f"{_field(router)},{rs.final_delay!r},{rs.forwarded},{rs.dropped_attack},"
+            f"{rs.attacked:d},{rs.sink_adjacent:d}\n" for router, rs in result.routers.items()))
 
 
 def write_accounting(path: str | Path, result: RunRecord) -> None:
     _write(path, ACCOUNTING_COLUMNS,
-           [(result.generated, result.delivered_to_sink, result.dropped_by_attack,
-             result.dropped_by_ttl, result.in_flight_at_end)])
+           [f"{result.generated},{result.delivered_to_sink},{result.dropped_by_attack},"
+            f"{result.dropped_by_ttl},{result.in_flight_at_end}\n"])
 
 
 def write_comparison(path: str | Path, comparisons: Mapping[str, RankingComparison]) -> None:
     _write(path, COMPARISON_COLUMNS,
-           ((metric, c.k, c.overlap, c.spearman, c.metric_topk, c.delay_topk)
+           (f"{_field(metric)},{c.k},{c.overlap!r},{c.spearman!r},"
+            f"{_field(_ID_SEP.join(c.metric_topk))},{_field(_ID_SEP.join(c.delay_topk))}\n"
             for metric, c in comparisons.items()))
 
 
@@ -170,13 +155,14 @@ def write_delay_table(path: str | Path, routers: Sequence[str],
                       mean_delay: Mapping[str, Mapping[str, float]]) -> None:
     """Mean final delay with one row per router and one column per scenario label."""
     _write(path, {"router_id": str, **dict.fromkeys(mean_delay, float)},
-           ((r, *(delays[r] for delays in mean_delay.values())) for r in routers))
+           (_field(r) + "".join(f",{delays[r]!r}" for delays in mean_delay.values()) + "\n"
+            for r in routers))
 
 
 def write_attack_sweep(path: str | Path, impacts: Sequence[OutageImpact]) -> None:
     _write(path, ATTACK_SWEEP_COLUMNS,
-           ((rank, i.router_id, i.delivered, i.delivery_loss_pct, i.survivor_delay_shift_s)
-            for rank, i in enumerate(impacts, start=1)))
+           (f"{rank},{_field(i.router_id)},{i.delivered!r},{i.delivery_loss_pct!r},"
+            f"{i.survivor_delay_shift_s!r}\n" for rank, i in enumerate(impacts, start=1)))
 
 
 def cluster_summary_text(title: str, rankings: Mapping[str, Sequence[RankCluster]]) -> str:

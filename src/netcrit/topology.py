@@ -118,9 +118,6 @@ class Topology:
         """Routers directly linked to the sink (excluded from delay rankings)."""
         return frozenset(self.adjacency[self.sink_id])
 
-    def edge_keys(self) -> tuple[tuple[str, str], ...]:
-        return tuple(edge_key(u, v) for u, v in self.edges)
-
 
 def validate_topology(t: Topology) -> None:
     """Raise TopologyError naming the violated invariant and the offending element."""

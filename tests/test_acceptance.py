@@ -132,7 +132,8 @@ def test_criterion_03_rank_order_reproduction():
     eig3 = rank_with_ties(eigenvector_centrality(t3), subset=t3.router_ids)
     checks.append([c.members for c in eig3] == expected_ring)
 
-    core2 = [e for e in t2.edge_keys() if not (e[0].startswith("G") or e[1].startswith("G"))]
+    core2 = [e for e in (edge_key(u, v) for u, v in t2.edges)
+             if not (e[0].startswith("G") or e[1].startswith("G"))]
     edge2 = rank_with_ties(edge_betweenness(t2), subset=core2)
     # Edge members are in natural order of str(edge), so ('4', '10') precedes ('4', '9').
     leaf_edges = tuple(edge_key(str(p), str(c))

@@ -597,6 +597,24 @@ class TestFailBeforeFirstRun:
         assert err.count("\n") == 1 and len(err.encode()) <= 200
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("command, scenario", [
+        ("sweep", ()), ("simulate", ("--scenario", "dos:" + "R" * 300))], ids=["sweep", "simulate"])
+    def test_run_directory_name_too_long(self, tmp_path, capsys, command, scenario):
+        # A valid router id too long for "runs/dos-<id>": without the rule,
+        # sweep writes its stable runs and simulate runs in full before the
+        # file system refuses the name.
+        topo = tmp_path / "long.topo"
+        topo.write_text(f"node S sink\nnode A router\nnode {'R' * 300} router\n"
+                        f"node G generator\nedge G A\nedge A {'R' * 300}\nedge {'R' * 300} S\n")
+        rc = run_cli(command, "--topology", str(topo), *scenario, "--seeds", "1..2",
+                     "--duration", "10", "--out", str(tmp_path))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: scenario 'dos:{'R' * 20}...' names a run directory "
+                              "longer than 255 bytes")
+        assert err.count("\n") == 1 and len(err.encode()) <= 200
+        assert not (tmp_path / "runs").exists()
+
     def test_repeated_scenario_label(self, tmp_path):
         t = builtin_case(3)
         for repeated in ((Scenario.stable(), Scenario.stable()),

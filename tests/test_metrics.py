@@ -80,7 +80,7 @@ class TestEdgeBetweenness:
 
     def test_case2_cluster_order(self):
         t = builtin_case(2)
-        core = [e for e in t.edge_keys()
+        core = [e for e in (edge_key(u, v) for u, v in t.edges)
                 if t.roles[e[0]] is not NodeRole.GENERATOR
                 and t.roles[e[1]] is not NodeRole.GENERATOR]
         rc = rank_with_ties(edge_betweenness(t), subset=core)
@@ -326,6 +326,10 @@ class TestExactOrder:
         # Nor may the rule fail: it has no level to measure on the empty
         # graph or on one node.
         assert _pick_pass(t) in (_block_pass, _queue_pass)
+        # The eigenvector is defined on both too: empty on the empty graph,
+        # 1.0 on a lone node.
+        if len(t.nodes) <= 1:
+            assert eigenvector_centrality(t) == {v: 1.0 for v, _ in t.nodes}
 
     @pytest.mark.parametrize("n", [SOURCE_BLOCK - 1, SOURCE_BLOCK, SOURCE_BLOCK + 1,
                                    2 * SOURCE_BLOCK + 1])

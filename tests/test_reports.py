@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from conftest import MM1_TEXT
 from netcrit import reports
+from netcrit.analysis import OutageImpact, RankingComparison
 from netcrit.metrics import RankCluster
-from netcrit.simulator import Scenario, SimConfig, run
+from netcrit.simulator import RouterSummary, Scenario, SimConfig, run
 from netcrit.topology import NodeRole, Topology, natural_key, parse_topology
 
 BASE = run(parse_topology(MM1_TEXT, name="mm1"), SimConfig(duration=5.0, seed=1),
@@ -136,6 +137,82 @@ def test_write_rankings_matches_csv_writer(tmp_path_factory, drawn):
         csv_writer_text(reports.RANKINGS_COLUMNS, expected).encode("utf-8")
 
 
+# Up to three ids, as the comparison's top-k columns hold them.
+id_tuples = st.lists(ids, max_size=3).map(tuple)
+# How csv.writer is handed a cell that is not already its text or a number.
+TO_TEXT = {bool: int, tuple: ";".join}
+
+
+def cells_text(row):
+    return [TO_TEXT.get(type(cell), lambda c: c)(cell) for cell in row]
+
+
+def assert_writes_as_csv_writer(path, columns, rows):
+    assert path.read_bytes() == \
+        csv_writer_text(columns, map(cells_text, rows)).encode("utf-8")
+
+
+@given(st.dictionaries(ids, st.tuples(values, st.integers(min_value=0), st.integers(min_value=0),
+                                      st.booleans(), st.booleans()), max_size=10))
+@settings(max_examples=100)
+def test_write_summary_matches_csv_writer(tmp_path_factory, drawn):
+    path = tmp_path_factory.mktemp("run") / "summary.csv"
+    record = dataclasses.replace(BASE.record(),
+                                 routers={r: RouterSummary(*cells) for r, cells in drawn.items()})
+    reports.write_summary(path, record)
+    assert_writes_as_csv_writer(path, reports.SUMMARY_COLUMNS,
+                                [(r, *cells) for r, cells in drawn.items()])
+
+
+@given(st.tuples(*[st.integers(min_value=0)] * 5))
+@example((0, 0, 0, 0, 0))
+@settings(max_examples=50)
+def test_write_accounting_matches_csv_writer(tmp_path_factory, counts):
+    path = tmp_path_factory.mktemp("run") / "accounting.csv"
+    record = dataclasses.replace(BASE.record(), **dict(zip(reports.ACCOUNTING_COLUMNS, counts)))
+    reports.write_accounting(path, record)
+    assert_writes_as_csv_writer(path, reports.ACCOUNTING_COLUMNS, [counts])
+
+
+@given(st.dictionaries(ids, st.tuples(st.integers(min_value=1), values, values,
+                                      id_tuples, id_tuples), min_size=1, max_size=5))
+@example({"betweenness": (2, 0.5, -0.0, ("1", "10"), ()),
+          "a,b": (1, math.nan, math.inf, ('say "hi"',), ("x\ny",))})
+@settings(max_examples=100)
+def test_write_comparison_matches_csv_writer(tmp_path_factory, drawn):
+    path = tmp_path_factory.mktemp("compare") / "comparison.csv"
+    reports.write_comparison(path, {m: RankingComparison(*cells) for m, cells in drawn.items()})
+    assert_writes_as_csv_writer(path, reports.COMPARISON_COLUMNS,
+                                [(m, *cells) for m, cells in drawn.items()])
+
+
+# Scenario labels as the delay table's header has them: DDoS labels hold commas.
+labels = st.one_of(st.just("stable"), st.builds(lambda t: f"dos:{t}", router_ids),
+                   st.lists(router_ids, min_size=2, max_size=4)
+                   .map(lambda targets: "ddos:" + ",".join(targets)))
+
+
+@given(st.lists(ids, unique=True, max_size=8),
+       st.dictionaries(labels, st.lists(values, min_size=8, max_size=8), min_size=1, max_size=4))
+@example(["1", "2"], {"stable": [0.25] * 8, "ddos:5,7,11": [-0.0, math.nan] * 4})
+@settings(max_examples=100)
+def test_write_delay_table_matches_csv_writer(tmp_path_factory, routers, columns):
+    mean_delay = {label: dict(zip(routers, column)) for label, column in columns.items()}
+    path = tmp_path_factory.mktemp("case") / "delay_by_scenario.csv"
+    reports.write_delay_table(path, routers, mean_delay)
+    assert_writes_as_csv_writer(path, ["router_id", *mean_delay],
+                                [(r, *(d[r] for d in mean_delay.values())) for r in routers])
+
+
+@given(st.lists(st.tuples(ids, values, values, values), max_size=10))
+@settings(max_examples=100)
+def test_write_attack_sweep_matches_csv_writer(tmp_path_factory, drawn):
+    path = tmp_path_factory.mktemp("sweep") / "attack_sweep.csv"
+    reports.write_attack_sweep(path, [OutageImpact(*cells) for cells in drawn])
+    assert_writes_as_csv_writer(path, reports.ATTACK_SWEEP_COLUMNS,
+                                [(rank, *cells) for rank, cells in enumerate(drawn, start=1)])
+
+
 TABLES = sorted(name for name in dir(reports) if name.endswith("_COLUMNS"))
 CELLS = {
     str: router_ids,
@@ -155,11 +232,13 @@ def cell_text(value):
 @given(data=st.data())
 @settings(max_examples=50)
 def test_every_table_round_trips(tmp_path_factory, table, data):
+    # The file is csv.writer's text of the cells; the writers write the same
+    # bytes (the tests above), so read_csv gives back every cell of theirs too.
     columns = getattr(reports, table)
     rows = data.draw(st.lists(st.tuples(*(CELLS[kind] for kind in columns.values())),
                               max_size=10))
     path = tmp_path_factory.mktemp("csv") / "table.csv"
-    reports._write(path, columns, rows)
+    path.write_bytes(csv_writer_text(columns, map(cells_text, rows)).encode("utf-8"))
     back = reports.read_csv(path, columns)
     assert [[cell_text(row[name]) for name in columns] for row in back] == \
         [[cell_text(cell) for cell in row] for row in rows]

@@ -208,7 +208,7 @@ class TestBuiltins:
             ]
         }
         core = {
-            e for e in t.edge_keys()
+            e for e in (edge_key(u, v) for u, v in t.edges)
             if t.roles[e[0]] is not NodeRole.GENERATOR
             and t.roles[e[1]] is not NodeRole.GENERATOR
         }
@@ -234,7 +234,7 @@ class TestBuiltins:
         t = builtin_case(1)
         assert len(t.router_ids) == 18
         assert len(t.generator_ids) == 7
-        keys = set(t.edge_keys())
+        keys = {edge_key(u, v) for u, v in t.edges}
         for u, v in [("5", "7"), ("7", "11"), ("10", "11"), ("4", "8")]:
             assert edge_key(u, v) in keys
 

@@ -324,8 +324,9 @@ def execute_manifest(manifest: RunManifest, echo=None) -> dict[str, list[RunReco
     summary and accounting counters, not its tick columns, which are freed
     once its ``timeseries.csv`` is written. So a campaign holds
     O(runs x routers) in memory, and at most one run's tick columns at a
-    time. Run directories are unique per (scenario, seed), so campaigns
-    never contend on paths.
+    time. Each run makes its directory, ``runs/<scenario>/<seed>`` under
+    the manifest's ``out_dir``, before it simulates, so a path the file
+    system refuses fails before the run, not after it.
     """
     return {scenario.label: [_run_and_write(manifest, scenario, seed, echo)
                              for seed in manifest.seeds]
@@ -333,12 +334,13 @@ def execute_manifest(manifest: RunManifest, echo=None) -> dict[str, list[RunReco
 
 
 def _run_and_write(manifest: RunManifest, scenario: Scenario, seed: int, echo) -> RunRecord:
-    """One run of the campaign: simulate, write its three CSVs, echo its
-    counts, and return its record. The full result is local to this call,
-    so its tick columns are freed before the next run starts."""
-    result = run(manifest.topology, manifest.config_for(seed), scenario)
+    """One run of the campaign: make its directory, simulate, write its
+    three CSVs, echo its counts, and return its record. The full result is
+    local to this call, so its tick columns are freed before the next run
+    starts."""
     run_dir = manifest.out_dir / "runs" / _run_dir_name(scenario) / str(seed)
     run_dir.mkdir(parents=True, exist_ok=True)
+    result = run(manifest.topology, manifest.config_for(seed), scenario)
     reports.write_timeseries(run_dir / "timeseries.csv", result)
     reports.write_summary(run_dir / "summary.csv", result)
     reports.write_accounting(run_dir / "accounting.csv", result)

@@ -187,13 +187,14 @@ def _queue_pass(t: Topology):
     """Brandes one source at a time in plain Python, as ``_shortest_paths``
     returns it.
 
-    It is the tests' reference pass on the same numbering: a FIFO BFS that
+    It is the pass ``_pick_pass`` takes on narrow graphs: a FIFO BFS that
     adds each w's path count from its predecessors v in the order it scans
     them, then a sweep in reversed BFS order that applies each w's terms to
-    delta[v] and the edge sums. The sweep finds w's predecessors by their
-    distance rather than in a list kept by the BFS: w's slots towards v
-    carry the same edge id and term as v's slots towards w, so every sum
-    still gets the same terms in the same order.
+    delta[v] and the edge sums, in the order of the tests' reference
+    ``oracles.reference_shortest_paths``. The sweep finds w's predecessors
+    by their distance rather than in a list kept by the BFS: w's slots
+    towards v carry the same edge id and term as v's slots towards w, so
+    every sum still gets the same terms in the same order.
     """
     nodes, edges, _, _, _, eid = _graph(t)
     ids = iter(eid.tolist())

@@ -5,9 +5,9 @@ times and exponential sizes into its adjacent router. Routers are
 single-server FIFO queues with exponential service; a served packet is
 forwarded to a uniformly chosen eligible neighbor, never back on its arrival
 link unless that is the only option. The sink absorbs packets on arrival.
-Packet size is drawn with the fixed mean ``MEAN_PACKET_SIZE`` and summed into
-``generated_size_total``; nothing else reads it, and service time, specified
-in packets per second, does not depend on it. Every exponential draw is the
+Packet size is drawn with the fixed mean ``MEAN_PACKET_SIZE`` and discarded:
+service time, in packets per second, ignores it, but the draw fixes which
+uniforms its generator's later draws get. Every exponential draw is the
 inverse CDF -mean * log1p(-u) of one uniform u from the drawing node's stream.
 
 A DoS/DDoS disturbance collapses the forwarding probability of the targeted
@@ -242,8 +242,7 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class SimResult(RunRecord):
-    """Outcome of one run: its ``RunRecord`` plus the delay time series and
-    the sum of the generated packets' sizes.
+    """Outcome of one run: its ``RunRecord`` plus the delay time series.
 
     ``tick_times`` holds the monitor's tick times, and ``tick_delays`` maps
     each router, in declaration order, to its running mean sojourn at each
@@ -252,7 +251,6 @@ class SimResult(RunRecord):
 
     tick_times: array
     tick_delays: dict[str, array]
-    generated_size_total: float
 
     def record(self) -> RunRecord:
         """The run's record alone, sharing its ``routers`` dict; the tick
@@ -314,7 +312,6 @@ def run(
     # tick, then routers, then generators.
     heap: list[tuple[float, int]] = [(config.monitor_interval, -1)]
     generated = delivered = dropped_attack = dropped_ttl = events = 0
-    size_total = 0.0
     mean_service = 1.0 / config.router_service_rate
     duration, ttl = config.duration, config.ttl
     log1p = math.log1p
@@ -372,7 +369,6 @@ def run(
             size = 0.0
             while size <= 0.0:  # sizes must be strictly positive
                 size = -MEAN_PACKET_SIZE * log1p(-draw())
-            size_total += size
             targets = inject[node - sink]
             if len(targets) == 1:
                 router = targets[0]
@@ -423,5 +419,4 @@ def run(
         dropped_by_ttl=dropped_ttl,
         in_flight_at_end=in_flight,
         event_count=events,
-        generated_size_total=size_total,
     )

@@ -34,8 +34,11 @@ _ECHO_CHARS = 24
 
 def clip(text: str) -> str:
     """``text`` cut to ``_ECHO_CHARS`` characters plus '...', for quoting
-    input in an error message."""
-    return text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "..."
+    input in an error message. Each non-printable character of the result
+    is escaped as Python writes it (``\\x1b``, ``\\n``), so the message
+    cannot move a terminal's cursor or hide text behind a control code."""
+    shown = text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "..."
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in shown)
 
 
 def natural_key(node_id: str):
@@ -56,9 +59,9 @@ def edge_key(u: str, v: str) -> tuple[str, str]:
 class Topology:
     """Undirected graph of generators, routers and exactly one sink.
 
-    Instances are immutable after construction and safe to share across
-    concurrently executing simulation runs. ``nodes`` preserves declaration
-    order; ``edges`` holds unordered pairs as declared.
+    Instances are immutable after construction, so runs and metric memos
+    share them. ``nodes`` preserves declaration order; ``edges`` holds
+    unordered pairs as declared.
     """
 
     name: str
@@ -250,8 +253,20 @@ def serialize_topology(t: Topology) -> str:
 
 
 def load_topology(path: str | Path) -> Topology:
+    """Parse the topology file at ``path``, named by its stem; a file that
+    is not UTF-8 fails with a TopologyError naming it and the line of the
+    first bad byte."""
     p = Path(path)
-    return parse_topology(p.read_text(encoding="utf-8-sig"), name=p.stem)
+    try:
+        text = p.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc.object holds the bytes after any byte-order mark. Lines are
+        # counted as parse_topology counts them; the "." ends a line that
+        # the bad byte starts.
+        read = exc.object[:exc.start].decode("utf-8")
+        raise TopologyError(f"'{clip(str(p))}' line {len((read + '.').splitlines())}: "
+                            f"not UTF-8 (byte 0x{exc.object[exc.start]:02x})") from None
+    return parse_topology(text, name=p.stem)
 
 
 BUILTIN_CASE_IDS = (1, 2, 3)

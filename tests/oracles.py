@@ -4,11 +4,12 @@ Betweenness is recomputed by explicitly enumerating every shortest path
 (BFS layering plus backtracking) and counting memberships; eccentricity by
 Floyd-Warshall; the eigenvector by a dense symmetric eigendecomposition;
 each router's packet arrival rate by a dense linear solve of the open
-queueing network the simulator's random walk forms; each generator's packet
-count and sizes by replaying its random stream alone; each monitor tick's
-running mean delays, and the service times a busy router starts, from a
-run's event trace. These stay deliberately naive and separate from the
-package code paths.
+queueing network the simulator's random walk forms, and in either regime,
+saturated or not, by iterating that walk as a fluid; each generator's
+packet times, routers and sizes by replaying its random stream alone; each
+monitor tick's running mean delays, and the service times a busy router
+starts, from a run's event trace. These stay deliberately naive and
+separate from the package code paths.
 
 Two are exceptions, references that fix the package's float operations
 rather than check them independently. ``reference_shortest_paths`` is the
@@ -259,44 +260,141 @@ def jackson_arrival_rates(t: Topology, mean_interarrival: float) -> dict[str, fl
     return rates
 
 
+# fluid_rates stops once no state's rate moves by this much in one step, and
+# raises after FLUID_MAX_ITER steps.
+FLUID_STEP = 1e-13
+FLUID_MAX_ITER = 100_000
+
+
+class FluidRates(NamedTuple):
+    """Per-router rates, in packets per second, of ``fluid_rates``' fixed point."""
+
+    arrival: dict[str, float]  # lambda_i: the rate router i admits to its queue
+    throughput: dict[str, float]  # min(lambda_i, mu)
+    growth: dict[str, float]  # max(0, lambda_i - mu): how fast its queue grows
+    delivered: float  # the rate the sink absorbs
+    iterations: int
+
+
+def fluid_rates(t: Topology, config: SimConfig, scenario) -> FluidRates:
+    """The no-backtrack walk as a fluid, in plain Python: the traffic
+    equations of ``jackson_arrival_rates`` with a router that serves at most
+    mu, so they hold whether or not a router saturates.
+
+    States and moves are those of ``jackson_arrival_rates``: (router,
+    arrival link) from ``t.adjacency`` and the roles, each move weighted
+    1 / |candidates|. Each generator injects 1 / ``mean_interarrival``,
+    split evenly over its routers. A state admits what flows into it, times
+    the attack's forwarding probability p at an attacked router; lambda_i
+    is what router i's states admit. A state passes on x * min(1, mu /
+    lambda_i) of its rate x, and the sink absorbs. Iterates from the
+    admitted injection until no state moves by ``FLUID_STEP``; raises
+    RuntimeError after ``FLUID_MAX_ITER`` steps.
+    """
+    roles, adj = t.roles, t.adjacency
+    mu = config.router_service_rate
+    share = dict.fromkeys(scenario.targets, scenario.attack_forwarding_probability)
+    forwards = {v: [w for w in adj[v] if roles[w] is not NodeRole.GENERATOR]
+                for v in adj if roles[v] is NodeRole.ROUTER}
+    injected = {(r, a): 0.0 for r, ws in forwards.items()
+                for a in (None, *(w for w in ws if w in forwards))}
+    moves = {}  # state -> [(next state, None for the sink; weight)]
+    for r, a in injected:
+        nxt = [w for w in forwards[r] if w != a] or [a]
+        moves[r, a] = [((w, r) if w in forwards else None, 1.0 / len(nxt)) for w in nxt]
+    for g in adj:
+        if roles[g] is NodeRole.GENERATOR:
+            for r in adj[g]:
+                injected[r, None] += 1.0 / config.mean_interarrival / len(adj[g])
+
+    x = {state: share.get(state[0], 1.0) * rate for state, rate in injected.items()}
+    for iteration in range(1, FLUID_MAX_ITER + 1):
+        load = dict.fromkeys(forwards, 0.0)
+        for (r, _), rate in x.items():
+            load[r] += rate
+        inflow, delivered = dict(injected), 0.0
+        for state, rate in x.items():
+            out = rate if load[state[0]] <= mu else rate * mu / load[state[0]]
+            for nxt, weight in moves[state]:
+                if nxt is None:
+                    delivered += out * weight
+                else:
+                    inflow[nxt] += out * weight
+        new = {state: share.get(state[0], 1.0) * rate for state, rate in inflow.items()}
+        step = max(abs(new[state] - x[state]) for state in x)
+        x = new
+        if step < FLUID_STEP:
+            arrival = dict.fromkeys(forwards, 0.0)
+            for (r, _), rate in x.items():
+                arrival[r] += rate
+            return FluidRates(arrival, {r: min(a, mu) for r, a in arrival.items()},
+                              {r: max(0.0, a - mu) for r, a in arrival.items()},
+                              delivered, iteration)
+    raise RuntimeError(f"fluid rates moved {step:.3g} after {FLUID_MAX_ITER} steps")
+
+
 class GeneratorReplay(NamedTuple):
     """One generator's packets up to the run's duration, from its stream alone."""
 
-    generated: int
-    size_total: float
+    injections: list[tuple[float, str]]  # each packet's (time, router), in order
+    sizes: list[float]
     gaps: list[float]  # every inter-arrival gap drawn, the last one past the end
 
 
 def replay_generators(t: Topology, config: SimConfig) -> dict[str, GeneratorReplay]:
-    """Redraw every generator's stream as the traffic model specifies.
+    """Redraw every generator's stream as the traffic model specifies, in
+    generator declaration order.
 
     A generator's stream is ``stream(config.seed, "generator", g)``. It
     first draws a gap; then, for each packet due at or before
-    ``config.duration``, a size, redrawn until it is positive, a uniform
-    that picks the router when the generator has two or more links (read
-    from ``t.adjacency``), and the next gap. Each draw is the inverse CDF
-    -mean * log1p(-u) of one uniform u. Nothing here runs the simulator,
-    so its packet count and size sum check the run's.
+    ``config.duration``, a size, redrawn until it is positive, a uniform u
+    that picks the router ``links[int(u * len(links))]`` when the generator
+    has two or more links (read from ``t.adjacency``), and the next gap,
+    which the packet's time plus the gap makes the next packet's time. Each
+    size and gap is the inverse CDF -mean * log1p(-u) of one uniform u.
+    Nothing here runs the simulator, so each packet's time and router check
+    the run's.
     """
     replays = {}
     for g, role in t.nodes:
         if role is not NodeRole.GENERATOR:
             continue
         draw = stream(config.seed, "generator", g)
+        links = t.adjacency[g]
         gaps = [-config.mean_interarrival * math.log1p(-draw())]
-        due, generated, size_total = gaps[0], 0, 0.0
+        due, injections, sizes = gaps[0], [], []
         while due <= config.duration:
             size = 0.0
             while size <= 0.0:
                 size = -MEAN_PACKET_SIZE * math.log1p(-draw())
-            size_total += size
-            if len(t.adjacency[g]) >= 2:
-                draw()
-            generated += 1
+            sizes.append(size)
+            router = links[int(draw() * len(links))] if len(links) >= 2 else links[0]
+            injections.append((due, router))
             gaps.append(-config.mean_interarrival * math.log1p(-draw()))
             due += gaps[-1]
-        replays[g] = GeneratorReplay(generated, size_total, gaps)
+        replays[g] = GeneratorReplay(injections, sizes, gaps)
     return replays
+
+
+def injection_order(replays: dict[str, GeneratorReplay]) -> list[tuple[float, str]]:
+    """Every replayed packet's (time, router) in packet-id order.
+
+    The run numbers packets as its calendar emits them: by time, a tie
+    broken by generator declaration order. The sort is stable, so listing
+    the generators in that order breaks the ties.
+    """
+    return sorted((packet for replay in replays.values() for packet in replay.injections),
+                  key=lambda packet: packet[0])
+
+
+def first_events(trace) -> list[tuple[str, float, str]]:
+    """Each packet's first (kind, time, router) in a run's ``on_event``
+    trace of (kind, time, router, packet), by packet id; KeyError if an id
+    below the largest has no event."""
+    first = {}
+    for kind, at, router, pid in trace:
+        first.setdefault(pid, (kind, at, router))
+    return [first[pid] for pid in range(len(first))]
 
 
 def replay_tick_delays(t: Topology, config: SimConfig,

@@ -5,7 +5,6 @@ Simulation-heavy criteria share one pool of runs (3 cases x {stable, dos} x
 10 seeds) built once per session.
 """
 
-import math
 import random
 import time
 from statistics import fmean
@@ -234,20 +233,25 @@ def test_criterion_08_mm1_oracle(mm1_pack):
 
 
 def test_criterion_09_sampling_calibration(attack_pool):
-    # The gaps are observable only by replaying the generators' streams; the
-    # replay must also give each run's packet count and size sum.
+    # The sizes and gaps are observable only by replaying the generators'
+    # streams. Each pooled run, rerun with a tracer that must not change it,
+    # must inject exactly the replay's packets: then the replay's draws are
+    # the run's.
     t, stable = attack_pool[2]["topology"], attack_pool[2]["stable"]
-    replays = [oracles.replay_generators(t, SimConfig(duration=POOL_DURATION, seed=s)).values()
-               for s in POOL_SEEDS]
-    replayed = sum(r.generated == sum(g.generated for g in replay)
-                   and math.isclose(r.generated_size_total,
-                                    sum(g.size_total for g in replay), rel_tol=1e-12)
-                   for r, replay in zip(stable, replays))
+    replayed, sizes, gaps = 0, [], []
+    for seed, pooled in zip(POOL_SEEDS, stable):
+        config = SimConfig(duration=POOL_DURATION, seed=seed)
+        trace = []
+        traced = run(t, config, Scenario.stable(), on_event=lambda *event: trace.append(event))
+        replays = oracles.replay_generators(t, config)
+        injected = [("arrive", at, router) for at, router in oracles.injection_order(replays)]
+        replayed += traced == pooled and oracles.first_events(trace) == injected
+        sizes += [size for g in replays.values() for size in g.sizes]
+        gaps += [gap for g in replays.values() for gap in g.gaps]
     generated = sum(r.generated for r in stable)
-    size_mean = sum(r.generated_size_total for r in stable) / generated
-    inter_mean = fmean(gap for replay in replays for g in replay for gap in g.gaps)
+    size_mean, inter_mean = fmean(sizes), fmean(gaps)
     ok = (replayed == len(stable)
-          and generated >= 10_000
+          and generated == len(sizes) >= 10_000
           and abs(size_mean - 100.0) / 100.0 <= 0.05
           and abs(inter_mean - 2.0) / 2.0 <= 0.05)
     report(9, "packet size and inter-arrival calibration", ok,

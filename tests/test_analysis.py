@@ -45,7 +45,7 @@ def fake_result(t, delays):
         tick_times=array("d"), tick_delays={r: array("d") for r in t.router_ids},
         routers=routers,
         generated=0, delivered_to_sink=0, dropped_by_attack=0, dropped_by_ttl=0,
-        in_flight_at_end=0, event_count=0, generated_size_total=0.0,
+        in_flight_at_end=0, event_count=0,
     )
 
 

@@ -615,6 +615,17 @@ class TestFailBeforeFirstRun:
         assert err.count("\n") == 1 and len(err.encode()) <= 200
         assert not (tmp_path / "runs").exists()
 
+    def test_out_path_too_long(self, tmp_path, capsys, monkeypatch):
+        # RunManifest checks the run directory's name, not the --out above it.
+        calls = []
+        monkeypatch.setattr(cli, "run", lambda *args: calls.append(args))
+        monkeypatch.chdir(tmp_path)
+        rc = run_cli("simulate", "--case", "3", "--seeds", "1", "--duration", "10",
+                     "--out", "d" * 3000)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: File name too long")
+        assert calls == []
+
     def test_repeated_scenario_label(self, tmp_path):
         t = builtin_case(3)
         for repeated in ((Scenario.stable(), Scenario.stable()),

@@ -189,6 +189,36 @@ def test_long_input_is_not_echoed_whole(tmp_path, capsys, text, message):
     assert err.count("\n") == 1 and len(err.encode()) <= 200
 
 
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(("metrics", "--topology", "esc.topo"), "line 1: unknown role '\\x1b[31mred'",
+                 id="topology-role"),
+    pytest.param(("simulate", "--case", "3", "--duration", "10", "--scenario", "dos:\x1b[2J"),
+                 "scenario targets unknown routers: \\x1b[2J", id="scenario-target"),
+])
+def test_control_characters_are_escaped(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "esc.topo").write_text("node S \x1b[31mred\n", encoding="utf-8")
+    assert main([*argv, "--out", "out"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert topology.clip("\x00a\nb²") == "\\x00a\\nb²"
+    assert topology.clip("\x1b" * 30) == "\\x1b" * 24 + "..."
+
+
+@pytest.mark.parametrize("data, message", [
+    pytest.param(b"node S sink\nnode R1 \xffrouter\n", "line 2: not UTF-8 (byte 0xff)",
+                 id="plain"),
+    pytest.param(b"\xef\xbb\xbfnode S sink\r\n\r\nnode R1 rout\xe9r\n",
+                 "line 3: not UTF-8 (byte 0xe9)", id="byte-order-mark-and-crlf"),
+])
+def test_non_utf8_file_names_file_and_line(tmp_path, capsys, monkeypatch, data, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "latin1.topo").write_bytes(data)
+    with pytest.raises(TopologyError, match=re.escape(f"'latin1.topo' {message}")):
+        load_topology("latin1.topo")
+    assert main(["metrics", "--topology", "latin1.topo", "--out", "out"]) == 1
+    assert capsys.readouterr().err == f"error: 'latin1.topo' {message}\n"
+
+
 class TestBuiltins:
     def test_case2_counts(self):
         t = builtin_case(2)

@@ -326,7 +326,9 @@ def execute_manifest(manifest: RunManifest, echo=None) -> dict[str, list[RunReco
     O(runs x routers) in memory, and at most one run's tick columns at a
     time. Each run makes its directory, ``runs/<scenario>/<seed>`` under
     the manifest's ``out_dir``, before it simulates, so a path the file
-    system refuses fails before the run, not after it.
+    system refuses fails before the run, not after it. A run that raises
+    removes each directory it made that is still empty, then re-raises; a
+    directory that holds an earlier run's files is left as it was.
     """
     return {scenario.label: [_run_and_write(manifest, scenario, seed, echo)
                              for seed in manifest.seeds]
@@ -339,8 +341,17 @@ def _run_and_write(manifest: RunManifest, scenario: Scenario, seed: int, echo) -
     local to this call, so its tick columns are freed before the next run
     starts."""
     run_dir = manifest.out_dir / "runs" / _run_dir_name(scenario) / str(seed)
+    made = [d for d in (run_dir, *run_dir.parents) if not d.exists()]
     run_dir.mkdir(parents=True, exist_ok=True)
-    result = run(manifest.topology, manifest.config_for(seed), scenario)
+    try:
+        result = run(manifest.topology, manifest.config_for(seed), scenario)
+    except BaseException:
+        # A failed run removes the directories it made while they are empty,
+        # deepest first, so an earlier run's files and their directories stay.
+        for d in made:
+            if not any(d.iterdir()):
+                d.rmdir()
+        raise
     reports.write_timeseries(run_dir / "timeseries.csv", result)
     reports.write_summary(run_dir / "summary.csv", result)
     reports.write_accounting(run_dir / "accounting.csv", result)

@@ -68,19 +68,10 @@ class Topology:
     nodes: tuple[tuple[str, NodeRole], ...]
     edges: tuple[tuple[str, str], ...]
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.name, self.nodes, self.edges))
-
     def __hash__(self) -> int:
-        """The hash the dataclass would compute, computed once: each metric's
-        memo looks the topology up by it."""
-        return self._hash
-
-    def __getstate__(self) -> dict:
-        # A string's hash differs between processes, so a pickled topology
-        # leaves its hash behind.
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+        """Equal topologies share a name and sizes, and ``__eq__`` decides the
+        rest, so a memo lookup walks no node or edge list to hash."""
+        return hash((self.name, len(self.nodes), len(self.edges)))
 
     @cached_property
     def roles(self) -> dict[str, NodeRole]:

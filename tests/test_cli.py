@@ -626,6 +626,23 @@ class TestFailBeforeFirstRun:
         assert capsys.readouterr().err.startswith("error: File name too long")
         assert calls == []
 
+    def test_failed_run_leaves_no_empty_directory(self, tmp_path, capsys, monkeypatch):
+        # The run directory is made before the run, so a run that raises must
+        # remove what it made again, but only while it is empty.
+        argv = ("simulate", "--case", "3", "--seeds", "1", "--out", str(tmp_path))
+        run_dir = tmp_path / "runs" / "stable" / "1"
+        monkeypatch.setattr(simulator, "MAX_IN_FLIGHT", 100)
+        assert run_cli(*argv, "--duration", "2000") == 1
+        assert capsys.readouterr().err.startswith("error: 101 packets in flight")
+        assert not (tmp_path / "runs").exists()
+        monkeypatch.undo()
+        assert run_cli(*argv, "--duration", "10") == 0
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        assert len(before) == 3
+        monkeypatch.setattr(simulator, "MAX_IN_FLIGHT", 100)
+        assert run_cli(*argv, "--duration", "2000") == 1
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
     def test_repeated_scenario_label(self, tmp_path):
         t = builtin_case(3)
         for repeated in ((Scenario.stable(), Scenario.stable()),

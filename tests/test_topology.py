@@ -1,5 +1,9 @@
+import os
 import pickle
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -381,12 +385,25 @@ class TestRoundTrip:
             again = parse_topology(serialize_topology(t), name=t.name)
             assert again == t
 
-    def test_hash_is_computed_once_and_not_pickled(self):
-        t = builtin_case(2)
-        again = parse_topology(serialize_topology(t), name=t.name)
-        assert hash(again) == hash(t) == hash((t.name, t.nodes, t.edges))
-        assert "_hash" in vars(t)
-        # Another process hashes strings differently, so a pickled topology
-        # must hash itself afresh there.
-        copy = pickle.loads(pickle.dumps(t))
-        assert "_hash" not in vars(copy) and copy == t and hash(copy) == hash(t)
+    def test_equal_parses_share_hash_and_memo_across_processes(self, tmp_path):
+        path = tmp_path / "case2.topo"
+        path.write_text(serialize_topology(builtin_case(2)), encoding="utf-8")
+        t, again = load_topology(path), load_topology(path)
+        assert again == t and again is not t and hash(again) == hash(t)
+        table = build_routing_table(t)
+        hits = build_routing_table.cache_info().hits
+        assert build_routing_table(again) is table
+        assert build_routing_table.cache_info().hits == hits + 1
+        # Another hash seed hashes the name differently, so a pickled
+        # topology must carry no hash of its own: loaded there, it must
+        # equal and hash like a topology parsed there.
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        script = ("import pickle, sys\n"
+                  "from netcrit.topology import load_topology\n"
+                  "copy = pickle.loads(sys.stdin.buffer.read())\n"
+                  f"fresh = load_topology({str(path)!r})\n"
+                  "assert copy == fresh and hash(copy) == hash(fresh)\n"
+                  f"assert hash(fresh) != {hash(t)}\n")
+        src = Path(topology.__file__).resolve().parents[1]
+        subprocess.run([sys.executable, "-c", script], input=pickle.dumps(t), check=True,
+                       env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed})

@@ -193,7 +193,7 @@ def check_run_inputs(topology: Topology, config: SimConfig, scenario: Scenario) 
     of them.
     """
     table = build_routing_table(topology)
-    routers = table.routers
+    routers = topology.router_ids
     unknown = [t for t in scenario.targets if t not in routers]
     if unknown:
         raise ValueError(f"scenario targets unknown routers: {clip(', '.join(unknown))}")
@@ -205,7 +205,7 @@ def check_run_inputs(topology: Topology, config: SimConfig, scenario: Scenario) 
             f"run would hold {shown} monitor samples ({len(routers)} routers x "
             f"duration / monitor_interval), over the cap of {MAX_MONITOR_SAMPLES:,}; "
             "shorten the duration or lengthen the monitor interval")
-    generators = len(table.generators)
+    generators = len(topology.generator_ids)
     events = 2 * generators * (config.duration / config.mean_interarrival)  # inf on overflow
     if events > EVENT_CAP:
         raise SimulationLimitError(
@@ -284,13 +284,13 @@ def run(
     for tracing and tests and does not affect the run.
     """
     table = check_run_inputs(topology, config, scenario)
-    routers, sink, hops, inject = table.routers, table.sink, table.hops, table.inject
+    routers, sink, hops, inject = topology.router_ids, table.sink, table.hops, table.inject
     # Admit probability of each attacked router; None where not attacked.
     admit = [None] * len(routers)
     for target in scenario.targets:
         admit[routers.index(target)] = scenario.attack_forwarding_probability
 
-    gen_random = [stream(config.seed, "generator", g) for g in table.generators]
+    gen_random = [stream(config.seed, "generator", g) for g in topology.generator_ids]
     router_random = [stream(config.seed, "router", r) for r in routers]
 
     # Per-router state. A queue holds one (packet id, arrival link, hops,

@@ -100,11 +100,11 @@ class Topology:
     def ids_with_role(self, role: NodeRole) -> tuple[str, ...]:
         return tuple(nid for nid, r in self.nodes if r is role)
 
-    @property
+    @cached_property
     def router_ids(self) -> tuple[str, ...]:
         return self.ids_with_role(NodeRole.ROUTER)
 
-    @property
+    @cached_property
     def generator_ids(self) -> tuple[str, ...]:
         return self.ids_with_role(NodeRole.GENERATOR)
 
@@ -283,25 +283,24 @@ def builtin_case(case_id: int) -> Topology:
 @dataclass(frozen=True)
 class ForwardingTable:
     """A validated topology compiled to integers: the no-backtrack random
-    walk and the generators that feed it.
+    walk and the generators that feed it. The ids stay on the topology.
 
-    Routers are numbered 0..n-1 in declaration order (``routers`` holds their
-    ids) and the sink is ``sink`` = n. ``hops[r][a]`` lists, in adjacency
-    order, the next-hop candidates of a packet that arrived at router r from
-    node a, where a = -1 marks a packet injected by a generator. Candidates
-    are every adjacent router plus the sink, except a; when that leaves
-    nothing (a leaf router) the packet goes back to a. Generators are never
+    Routers are numbered 0..n-1 in the order of ``Topology.router_ids`` and
+    the sink is ``sink`` = n. ``hops[r][a]`` lists, in adjacency order, the
+    next-hop candidates of a packet that arrived at router r from node a,
+    where a = -1 marks a packet injected by a generator. Candidates are
+    every adjacent router plus the sink, except a; when that leaves nothing
+    (a leaf router) the packet goes back to a. Generators are never
     candidates, so router r is sink-adjacent exactly when
-    ``sink in hops[r][-1]``. ``generators`` holds the generator ids in
-    declaration order, and ``inject[g]`` the routers generator g feeds, in
-    adjacency order. ``build_routing_table`` caches the last one it built, so
-    every run on the same topology shares it; do not mutate.
+    ``sink in hops[r][-1]``. Generators are numbered in the order of
+    ``Topology.generator_ids``, and ``inject[g]`` lists the routers
+    generator g feeds, in adjacency order. ``build_routing_table`` caches
+    the last one it built, so every run on the same topology shares it; do
+    not mutate.
     """
 
-    routers: tuple[str, ...]
     sink: int
     hops: tuple[dict[int, tuple[int, ...]], ...]
-    generators: tuple[str, ...]
     inject: tuple[tuple[int, ...], ...]
 
 
@@ -328,4 +327,4 @@ def build_routing_table(t: Topology) -> ForwardingTable:
         hops.append({a: tuple(n for n in eligible if n != a) or (a,)
                      for a in (-1, *eligible)})
     inject = tuple(tuple(index[r] for r in t.adjacency[g]) for g in t.generator_ids)
-    return ForwardingTable(routers, len(routers), tuple(hops), t.generator_ids, inject)
+    return ForwardingTable(len(routers), tuple(hops), inject)

@@ -93,7 +93,7 @@ class TestStreams:
 def next_hops(t: Topology, router: str, arrival_link: str | None) -> tuple[str, ...]:
     """Next-hop candidates by node id, read from the compiled forwarding table."""
     table = build_routing_table(t)
-    names = table.routers + (t.sink_id,)
+    names = t.router_ids + (t.sink_id,)
     r = names.index(router)
     a = -1 if arrival_link is None else names.index(arrival_link)
     return tuple(names[n] for n in table.hops[r][a])
@@ -321,21 +321,36 @@ class TestRun:
         assert all(math.copysign(1.0, d) == 1.0
                    for column in res.tick_delays.values() for d in column)
 
-    def test_fifo_completion_order_matches_arrival_order(self):
+    @staticmethod
+    def assert_fifo(t: Topology, config: SimConfig) -> int:
+        """Check that every router completes packets in arrival order, and
+        return the most packets any router held at once."""
         trace = defaultdict(lambda: {"arrive": [], "done": []})
+        deepest = 0
 
         def on_event(kind, _t, router, pid):
+            nonlocal deepest
+            records = trace[router]
             if kind == "arrive":
-                trace[router]["arrive"].append(pid)
+                records["arrive"].append(pid)
+                deepest = max(deepest, len(records["arrive"]) - len(records["done"]))
             elif kind in ("forward", "drop_ttl"):
-                trace[router]["done"].append(pid)
+                records["done"].append(pid)
 
-        run(builtin_case(2), SimConfig(duration=120.0, seed=5), Scenario.stable(),
-            on_event=on_event)
+        run(t, config, Scenario.stable(), on_event=on_event)
         assert trace
         for records in trace.values():
             done = records["done"]
             assert done == records["arrive"][: len(done)]
+        return deepest
+
+    def test_fifo_completion_order_matches_arrival_order(self):
+        self.assert_fifo(builtin_case(2), SimConfig(duration=120.0, seed=5))
+
+    def test_fifo_order_holds_in_a_saturated_queue(self):
+        # Case 3 saturates every router at the defaults, so queues grow
+        # for the whole run: seed 5 queues 2,666 packets at one router.
+        assert self.assert_fifo(builtin_case(3), SimConfig(duration=2000.0, seed=5)) > 100
 
     def test_monitor_samples_run_on_schedule(self, mm1_topology):
         res = run(mm1_topology, SimConfig(duration=10.0, seed=1), Scenario.stable())
@@ -562,8 +577,11 @@ class TestFluidOracle:
     The overload tolerances come from the spread over six disjoint ten-seed
     sets (1..10 up to 51..60) at this duration, on cases 1-3: the worst
     per-router throughput error was 1.69 % (case 2), the worst delivered
-    share 2.53 % off (case 1) and the worst count in flight at the end
-    1.41 % off (case 2).
+    share 2.53 % off (case 1), the worst count in flight at the end 1.41 %
+    off (case 2) and the worst final delay of a saturated router 12.0 % off
+    T * g / (2 * lambda) + 1 / mu (case 1, seeds 31..40; 3.2-8.9 % on the
+    other five sets, at most 6.0 % on case 2 and 4.2 % on case 3). Serving a
+    queue of more than 100 last in, first out put that delay 98.6-99.6 % off.
     """
 
     def test_matches_jackson_where_nothing_saturates(self):
@@ -617,6 +635,24 @@ class TestFluidOracle:
             fluid.delivered / injected, rel=0.04)
         assert fmean(r.in_flight_at_end for r in records) == pytest.approx(
             sum(fluid.growth.values()) * config.duration, rel=0.02)
+
+    @pytest.mark.parametrize("case", [1, 2, 3])
+    def test_saturated_delay_matches_simulation(self, overload_runs, case):
+        # A saturated router's queue grows at g = lambda - mu. Served first
+        # in, first out at mu, the packet that leaves at time d came in at
+        # mu * d / lambda, so it stayed d * g / lambda. Departures spread
+        # evenly over the run, so the mean sojourn is T * g / (2 * lambda),
+        # plus about one service 1 / mu.
+        t, records = builtin_case(case), overload_runs[case]
+        config = SimConfig(duration=OVERLOAD_DURATION)
+        fluid = oracles.fluid_rates(t, config, Scenario.stable())
+        saturated = [router for router, growth in fluid.growth.items() if growth > 0]
+        assert saturated
+        for router in saturated:
+            predicted = (config.duration * fluid.growth[router] / (2 * fluid.arrival[router])
+                         + 1 / config.router_service_rate)
+            delay = fmean(r.routers[router].final_delay for r in records)
+            assert delay == pytest.approx(predicted, rel=0.18), router
 
 
 class TestGeneratorReplay:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .metrics import TIE_EPSILON, Direction, RankCluster, all_members, rank_with_ties
-from .simulator import RunRecord
+from .simulator import RunRecord, Scenario
 from .topology import Topology, clip, natural_key
 
 @dataclass(frozen=True)
@@ -145,7 +145,7 @@ def outage_impacts(
     base_delay = mean_final_delays(baseline, t.router_ids)
     impacts = []
     for router in t.router_ids:
-        runs = results[f"dos:{router}"]
+        runs = results[Scenario.dos(router).label]
         delivered = _mean([r.delivered_to_sink for r in runs])
         survivors = [x for x in t.router_ids if x != router]
         delay = mean_final_delays(runs, survivors)

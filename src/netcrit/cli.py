@@ -52,6 +52,7 @@ from .topology import (
     Topology,
     builtin_case,
     clip,
+    edge_key,
     load_topology,
     natural_key,
 )
@@ -198,55 +199,48 @@ def parse_seeds(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in items)
 
 
-def _core_edge_keys(t: Topology, edges) -> list[tuple[str, str]]:
-    """The keys of ``edges``, a mapping keyed by ``t``'s edges, that join two
-    non-generator nodes (the infrastructure links)."""
-    roles = t.roles
-    return [e for e in edges
-            if roles[e[0]] is not NodeRole.GENERATOR and roles[e[1]] is not NodeRole.GENERATOR]
-
-
 def _core_edge_ids(t: Topology, edges) -> dict[str, float]:
-    """``edges``' values on the infrastructure links, keyed by the id "u-v"
-    that rankings and reports give an edge, built once per edge.
+    """``edges``' values on the infrastructure links, the edges that join two
+    non-generator nodes, keyed by the id "u-v" that rankings and reports
+    give an edge.
 
     Ranked by id, the links keep the order their keys (u, v) would give:
     ``rank_with_ties`` orders equal values and tied members by their text,
     and "u-v" sorts as ``str((u, v))`` does, because "-" and "'" sort before
     every character of a node id."""
-    return {f"{u}-{v}": edges[u, v] for u, v in _core_edge_keys(t, edges)}
+    roles = t.roles
+    return {f"{u}-{v}": value for (u, v), value in edges.items()
+            if roles[u] is not NodeRole.GENERATOR and roles[v] is not NodeRole.GENERATOR}
 
 
-def _node_metrics(t: Topology) -> dict[str, dict[str, float]]:
-    """The three node metrics of every node, each computed once, in report order."""
-    return {
+def _metric_rankings(t: Topology, routers, edge_values, tie_epsilon: float):
+    """Compute the three node metrics, each once and in report order, then
+    edge betweenness, and rank them: ``routers`` by each node metric (a low
+    eccentricity marks a critical node), and the keys of
+    ``edge_values(t, edges)`` by their values as "edge_betweenness".
+
+    Returns the node metrics, the edge betweenness and the rankings."""
+    nodes = {
         "betweenness": betweenness_centrality(t),
         "eccentricity": eccentricity_centrality(t),
         "eigenvector": eigenvector_centrality(t),
     }
-
-
-def _rankings(node_metrics, routers, edge_values, tie_epsilon: float) -> dict:
-    """Rank ``routers`` by each node metric (a low eccentricity marks a
-    critical node) and the keys of ``edge_values`` by their values as
-    "edge_betweenness"."""
+    edges = edge_betweenness(t)
     rankings = {
         metric: rank_with_ties(values,
                                Direction.LOWER_IS_CRITICAL if metric == "eccentricity"
                                else Direction.HIGHER_IS_CRITICAL,
                                tie_epsilon, routers)
-        for metric, values in node_metrics.items()
+        for metric, values in nodes.items()
     }
     rankings["edge_betweenness"] = rank_with_ties(
-        edge_values, Direction.HIGHER_IS_CRITICAL, tie_epsilon)
-    return rankings
+        edge_values(t, edges), Direction.HIGHER_IS_CRITICAL, tie_epsilon)
+    return nodes, edges, rankings
 
 
 def cmd_metrics(args) -> int:
     t = _load(args)
-    nodes = _node_metrics(t)
-    edges = edge_betweenness(t)
-    rankings = _rankings(nodes, t.router_ids, _core_edge_ids(t, edges), args.tie_epsilon)
+    nodes, edges, rankings = _metric_rankings(t, t.router_ids, _core_edge_ids, args.tie_epsilon)
 
     out = Path(args.out) / "metrics"
     out.mkdir(parents=True, exist_ok=True)
@@ -399,17 +393,17 @@ def cmd_compare(args) -> int:
     # Rank before the runs: a bad --k or --tie-epsilon, or a failing metric,
     # then stops the command before it writes anything.
     universe = ranked_universe(t, args.k)
-    nodes = _node_metrics(t)
-    # Edge betweenness is projected onto routers as the heaviest
-    # infrastructure link each router terminates, so it can be ranked
-    # against per-router delays.
-    edges = edge_betweenness(t)
-    core = _core_edge_keys(t, edges)
-    router_share = {
-        router: max((edges[e] for e in core if router in e), default=0.0)
-        for router in universe
-    }
-    metric_ranks = _rankings(nodes, universe, router_share, args.tie_epsilon)
+
+    def router_share(t, edges):
+        # Edge betweenness is projected onto routers as the heaviest
+        # infrastructure link each router terminates, so it can be ranked
+        # against per-router delays.
+        roles = t.roles
+        return {router: max((edges[edge_key(router, n)] for n in t.adjacency[router]
+                             if roles[n] is not NodeRole.GENERATOR), default=0.0)
+                for router in universe}
+
+    metric_ranks = _metric_rankings(t, universe, router_share, args.tie_epsilon)[2]
 
     results = execute_manifest(manifest, echo=_echo_stderr)[scenario.label]
     delay = rank_by_delay(results, t, tie_epsilon=args.tie_epsilon)
@@ -435,8 +429,7 @@ def cmd_case_study(args) -> int:
     )
     manifest = RunManifest(topology=t, scenarios=scenarios, seeds=parse_seeds(args.seeds),
                            duration=args.duration, out_dir=Path(args.out))
-    rankings = _rankings(_node_metrics(t), t.router_ids, _core_edge_ids(t, edge_betweenness(t)),
-                         TIE_EPSILON)
+    rankings = _metric_rankings(t, t.router_ids, _core_edge_ids, TIE_EPSILON)[2]
     print(reports.cluster_summary_text(f"{t.name}: centrality rankings", rankings))
 
     results = execute_manifest(manifest, echo=_echo_stderr)

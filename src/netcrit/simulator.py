@@ -155,10 +155,12 @@ class Scenario:
         """Parse the scenario grammar: "stable" | "dos:<id>" | "ddos:<id>,<id>[,...]".
 
         Splits ``text`` into a kind and, after a ':', its comma-separated
-        targets; the constructor checks them.
+        targets, each stripped of surrounding spaces; the constructor checks
+        them.
         """
         kind, colon, rest = text.strip().partition(":")
-        return cls(kind=kind, targets=tuple(rest.split(",")) if colon else (),
+        targets = tuple(target.strip() for target in rest.split(",")) if colon else ()
+        return cls(kind=kind, targets=targets,
                    attack_forwarding_probability=attack_forwarding_probability)
 
     @property

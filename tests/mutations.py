@@ -88,6 +88,13 @@ MUTATIONS = (
              "            continue\n"
              "        queue.append(",
              (OVERLOAD,)),
+    Mutation("walk-may-always-backtrack", "topology.py",
+             "tuple(n for n in eligible if n != a) or (a,)",
+             "tuple(eligible)",
+             ("tests/test_simulator.py::TestNextHop::test_excludes_arrival_link",
+              "tests/test_simulator.py::TestNetworkOracle::"
+              "test_sojourn_and_throughput_match_jackson",
+              FLUID)),
     Mutation("rank-ties-no-tiebreak", "metrics.py",
              "items.sort(key=lambda kv: ((-kv[1] if descending else kv[1]), str(kv[0])))",
              "items.sort(key=lambda kv: -kv[1] if descending else kv[1])",

@@ -231,6 +231,26 @@ class TestSimulateCommand:
                                 reports.SUMMARY_COLUMNS)
         assert {r["router_id"] for r in rows if r["attacked"]} == {"2", "6"}
 
+    def test_ddos_targets_may_have_spaces(self, tmp_path):
+        assert run_cli("simulate", "--case", "3", "--scenario", "ddos:2, 6",
+                       "--seeds", "1", "--duration", "5", "--out", str(tmp_path)) == 0
+        assert [p.name for p in (tmp_path / "runs").iterdir()] == ["ddos-2,6"]
+
+    def test_ttl_option(self, tmp_path):
+        # On the line S-R2-R1-G every packet needs two hops, so a budget of
+        # one delivers nothing.
+        topo = tmp_path / "line.topo"
+        topo.write_text("node S sink\nnode R1 router\nnode R2 router\nnode G generator\n"
+                        "edge G R1\nedge R1 R2\nedge R2 S\n", encoding="utf-8")
+        assert run_cli("simulate", "--topology", str(topo), "--ttl", "1", "--seeds", "4",
+                       "--duration", "300", "--out", str(tmp_path)) == 0
+        [acc] = reports.read_csv(tmp_path / "runs" / "stable" / "4" / "accounting.csv",
+                                 reports.ACCOUNTING_COLUMNS)
+        assert acc["delivered_to_sink"] == 0
+        assert acc["dropped_by_ttl"] > 0
+        assert acc["generated"] == (acc["delivered_to_sink"] + acc["dropped_by_attack"]
+                                    + acc["dropped_by_ttl"] + acc["in_flight_at_end"])
+
     def test_accounting_matches_result_identity(self, tmp_path):
         assert run_cli("simulate", "--case", "2", "--scenario", "stable",
                        "--seeds", "4", "--duration", "60", "--out", str(tmp_path)) == 0
@@ -285,6 +305,7 @@ class TestSimulateCommand:
         ("ddos:,3", "empty target"),
         ("ddos:3,", "empty target"),
         ("ddos:1,,2", "empty target"),
+        ("ddos:2, ", "empty target"),
         ("dos:3,4", "dos scenario takes exactly one target"),
         ("ddos:²,1", "scenario targets unknown routers: ²"),  # '²' is a digit, not a decimal
     ])
@@ -546,7 +567,8 @@ _RUN_RULES = [(("--scenario", "dos:99"), "scenario targets unknown routers: 99")
               (("--monitor-interval", "1e-300"), "run would hold 5e+301 monitor samples ("),
               (("--mean-interarrival", "1e-9"), "run would generate"),
               (("--service-rate", "nan"), "router_service_rate must be finite"),
-              (("--attack-probability", "2"), "attack_forwarding_probability must be in")]
+              (("--attack-probability", "2"), "attack_forwarding_probability must be in"),
+              (("--ttl", "-1"), "ttl must be >= 0 (0 = unlimited)")]
 _COMPARE_RULES = [(("--tie-epsilon", "nan"), "tie_epsilon must be finite"),
                   (("--k", "10"), "k=10 larger than ranked universe")]
 # Scenario strings an error message must not echo whole, with a name for the test id.

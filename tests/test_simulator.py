@@ -150,6 +150,10 @@ class TestScenario:
         assert Scenario.from_string("dos:5").targets == ("5",)
         assert Scenario.from_string("ddos:2,6").targets == ("2", "6")
         assert Scenario.from_string("ddos:14,2").targets == ("2", "14")
+        # Spaces around a target are not part of it.
+        assert Scenario.from_string("dos: 5 ") == Scenario.dos("5")
+        assert Scenario.from_string("ddos:2, 6").targets == ("2", "6")
+        assert Scenario.from_string("ddos: 6 ,2").targets == ("2", "6")
 
     def test_ddos_targets_have_one_order(self):
         reordered = Scenario(kind="ddos", targets=("6", "2"))
@@ -160,6 +164,9 @@ class TestScenario:
     def test_labels_round_trip(self):
         for text in ("stable", "dos:5", "ddos:2,6"):
             assert Scenario.from_string(text).label == text
+        for spaced, label in (("dos: 5", "dos:5"), ("ddos:6 ,2", "ddos:2,6"),
+                              (" ddos: 2 , 6 ", "ddos:2,6")):
+            assert Scenario.from_string(spaced).label == label
 
     @given(scenarios(st.text(string.ascii_letters + string.digits + "_", min_size=1)))
     @settings(max_examples=200)
@@ -180,6 +187,7 @@ class TestScenario:
         "ddos:,3": "empty target in scenario",
         "ddos:3,": "empty target in scenario",
         "ddos:1,,2": "empty target in scenario",
+        "ddos:1, ,2": "empty target in scenario",
         "dos:3,4": "dos scenario takes exactly one target",
     }
 
